@@ -21,8 +21,8 @@
 use psa_bench::harness::{bench_json_path, positive_usize_arg, ThroughputTimer};
 use psa_core::detector::{
     BackscatterConfig, BackscatterDetector, CrossDomainDetector, CrossScalePersistenceDetector,
-    EuclideanConfig, EuclideanDetector, PersistenceConfig, ScoredDetector,
-    SpectralKurtosisDetector, SpectralOutlierConfig, SpectralOutlierDetector,
+    Detector, EuclideanConfig, EuclideanDetector, PersistenceConfig, SpectralKurtosisDetector,
+    SpectralOutlierConfig, SpectralOutlierDetector,
 };
 use psa_runtime::{Bakeoff, BakeoffConfig, Campaign};
 
@@ -91,7 +91,7 @@ fn main() {
         traces_per_sensor: outlier_traces,
         ..SpectralKurtosisDetector::default()
     };
-    let detectors: [&dyn ScoredDetector; 6] = [
+    let detectors: [&dyn Detector; 6] = [
         &cross,
         &euclid,
         &backscatter,

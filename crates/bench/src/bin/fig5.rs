@@ -5,5 +5,8 @@ fn main() {
     let engine = psa_bench::harness::engine_from_cli(&args);
     println!("== Fig 5: zero-span time-domain identification at 48 MHz ==");
     let chip = psa_bench::experiments::build_chip();
-    print!("{}", psa_bench::experiments::fig5_report(&chip, &engine));
+    print!(
+        "{}",
+        psa_bench::experiments::fig5_report_with(&chip, &engine, None)
+    );
 }

@@ -183,33 +183,15 @@ pub struct MethodSummary {
     pub runtime: bool,
 }
 
-/// Runs the Table I comparison campaign: every `(method, Trojan, seed)`
-/// detection attempt is one engine job against the shared chip.
+/// Runs the Table I comparison campaign against pre-learned shared
+/// artifacts: every `(method, Trojan, seed)` detection attempt is one
+/// engine job against the shared chip. The baseline and template
+/// library are pure functions of the chip and the baseline seed, so
+/// building them once per process (the `repro_all` path) is
+/// result-identical to each driver building its own.
 ///
 /// `seeds_per_trojan` controls the campaign size (the binary uses 2;
 /// tests may use 1).
-pub fn table1_campaign(
-    chip: &TestChip,
-    seeds_per_trojan: usize,
-    engine: &Engine,
-) -> Vec<MethodSummary> {
-    let campaign = Campaign::new(chip, *engine);
-    // The cross-domain baseline itself is learned in parallel (one job
-    // per sensor; byte-identical to the serial learning loop).
-    let baseline = campaign.learn_baseline(RUNTIME_BASELINE_SEED);
-    table1_campaign_with(
-        chip,
-        seeds_per_trojan,
-        engine,
-        &SharedArtifacts::lazy(baseline),
-    )
-}
-
-/// [`table1_campaign`] against pre-learned shared artifacts (the
-/// memoized `repro_all` path: baseline and template library built once
-/// per process instead of once per driver). Result-identical to the
-/// self-learning entry point — both artifacts are pure functions of the
-/// chip and the baseline seed.
 pub fn table1_campaign_with(
     chip: &TestChip,
     seeds_per_trojan: usize,
@@ -286,19 +268,7 @@ pub fn table1_campaign_with(
     summaries
 }
 
-/// Renders Table I.
-pub fn table1(chip: &TestChip, seeds_per_trojan: usize, engine: &Engine) -> Table {
-    let campaign = Campaign::new(chip, *engine);
-    let baseline = campaign.learn_baseline(RUNTIME_BASELINE_SEED);
-    table1_with(
-        chip,
-        seeds_per_trojan,
-        engine,
-        &SharedArtifacts::lazy(baseline),
-    )
-}
-
-/// [`table1`] against pre-learned shared artifacts.
+/// Renders Table I against pre-learned shared artifacts.
 pub fn table1_with(
     chip: &TestChip,
     seeds_per_trojan: usize,
@@ -519,16 +489,12 @@ pub struct Fig5Panel {
 }
 
 /// Measures the four Fig 5 panels through the full analyzer, one engine
-/// job per Trojan (the analyzer and its learned baseline are shared).
-pub fn fig5_panels(chip: &TestChip, engine: &Engine) -> Vec<Fig5Panel> {
-    fig5_panels_with(chip, engine, None)
-}
-
-/// [`fig5_panels`] with an optionally pre-built template library (the
-/// identification templates are a pure function of the chip, so sharing
-/// the build with Table I's detector is result-identical). The Fig 5
-/// baseline seed (`0xF15`) is intentionally distinct from the run-time
-/// baseline, so the baseline itself is not shared.
+/// job per Trojan (the analyzer and its learned baseline are shared),
+/// with an optionally pre-built template library (the identification
+/// templates are a pure function of the chip, so sharing the build with
+/// Table I's detector is result-identical; `None` builds them here).
+/// The Fig 5 baseline seed (`0xF15`) is intentionally distinct from the
+/// run-time baseline, so the baseline itself is not shared.
 pub fn fig5_panels_with(
     chip: &TestChip,
     engine: &Engine,
@@ -567,12 +533,8 @@ pub fn fig5_panels_with(
     })
 }
 
-/// Renders the Fig 5 report: envelopes and classification outcome.
-pub fn fig5_report(chip: &TestChip, engine: &Engine) -> String {
-    fig5_report_with(chip, engine, None)
-}
-
-/// [`fig5_report`] with an optionally pre-built template library.
+/// Renders the Fig 5 report: envelopes and classification outcome, with
+/// an optionally pre-built template library.
 pub fn fig5_report_with(
     chip: &TestChip,
     engine: &Engine,
@@ -667,14 +629,8 @@ pub fn mttd_rows(
     })
 }
 
-/// Renders the MTTD table (plus the baseline-method latency context).
-pub fn mttd_table(chip: &TestChip, engine: &Engine) -> Table {
-    let campaign = Campaign::new(chip, *engine);
-    let baseline = campaign.learn_baseline(RUNTIME_BASELINE_SEED);
-    mttd_table_with(chip, engine, &baseline)
-}
-
-/// [`mttd_table`] against a pre-learned run-time baseline (seed
+/// Renders the MTTD table (plus the baseline-method latency context)
+/// against a pre-learned run-time baseline (seed
 /// [`RUNTIME_BASELINE_SEED`]).
 pub fn mttd_table_with(
     chip: &TestChip,
@@ -815,18 +771,9 @@ pub fn monitor_jobs(seeds: usize) -> Vec<MonitorJob> {
     jobs
 }
 
-/// Runs the standard monitor suite on the engine (baseline learned in
-/// parallel first) and returns the session outcomes in submission
-/// order.
-pub fn monitor_outcomes(chip: &TestChip, engine: &Engine, seeds: usize) -> Vec<MonitorOutcome> {
-    let campaign = MonitorCampaign::new(chip, *engine, RUNTIME_BASELINE_SEED);
-    campaign
-        .run(&monitor_jobs(seeds))
-        .expect("monitor sessions run on built-in sensors")
-}
-
-/// [`monitor_outcomes`] against a pre-learned run-time baseline (seed
-/// [`RUNTIME_BASELINE_SEED`]), skipping the in-campaign learning pass.
+/// Runs the standard monitor suite on the engine against a pre-learned
+/// run-time baseline (seed [`RUNTIME_BASELINE_SEED`]) and returns the
+/// session outcomes in submission order.
 pub fn monitor_outcomes_with(
     chip: &TestChip,
     engine: &Engine,
@@ -1575,20 +1522,6 @@ pub fn trojan_kinds_from_cli(args: &[String]) -> Vec<TrojanKind> {
 /// Convenience for the `mhz` formatter used by binaries.
 pub fn format_freq(hz: f64) -> String {
     mhz(hz)
-}
-
-/// Identification-related helper re-export for benches.
-pub fn classify_once(chip: &TestChip) -> TrojanKind {
-    let analyzer = CrossDomainAnalyzer::new(chip).expect("reference template library");
-    let baseline = analyzer.learn_baseline(1);
-    analyzer
-        .analyze(
-            &Scenario::trojan_active(TrojanKind::T1).with_seed(2),
-            &baseline,
-        )
-        .expect("analyze")
-        .identified
-        .unwrap_or(TrojanKind::T1)
 }
 
 /// Quick feature-extraction helper for benches.

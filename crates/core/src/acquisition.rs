@@ -5,16 +5,13 @@
 //! coupling matrix, the analog chain amplifies and digitizes, and the
 //! spectrum-analyzer model renders 2000-point DC–120 MHz traces.
 //!
-//! Two entry points share the same pipeline:
-//!
-//! * [`Acquisition`] — the stateless borrowed-chip engine. Convenient,
-//!   but every call builds its scratch from scratch.
-//! * [`AcqContext`] — a reusable **per-worker context** owning all
-//!   scratch state (window coefficients, FFT plans, current/EMF/record
-//!   buffers). The campaign engine in `psa-runtime` gives each worker
-//!   thread one context; record after record then runs with no hot-path
-//!   allocations. Outputs are bit-identical to [`Acquisition`]'s, which
-//!   is what makes parallel campaigns byte-identical to serial ones.
+//! The single entry point is [`AcqContext`], a reusable **per-worker
+//! context** owning all scratch state (window coefficients, FFT plans,
+//! current/EMF/record buffers). The campaign engine in `psa-runtime`
+//! gives each worker thread one context; record after record then runs
+//! with no hot-path allocations. Outputs never depend on what a context
+//! processed before, which is what makes parallel campaigns
+//! byte-identical to serial ones.
 
 use crate::calib;
 use crate::chip::{ChipVariation, CustomSensor, SensorSelect, TestChip};
@@ -134,9 +131,9 @@ impl Default for TraceSet {
 /// spectra. One context per worker thread; the shared [`TestChip`] is
 /// borrowed immutably (it is `Sync`).
 ///
-/// Results are **bit-identical** to the corresponding [`Acquisition`]
-/// methods and independent of what the context processed before — the
-/// contract the parallel campaign engine's determinism rests on.
+/// Results are **bit-identical** to those of a fresh context: they never
+/// depend on what the context processed before — the contract the
+/// parallel campaign engine's determinism rests on.
 ///
 /// # Buffer recycling
 ///
@@ -146,7 +143,7 @@ impl Default for TraceSet {
 /// reused across calls. The `_into` variants are **required** on any
 /// per-record hot path — a monitor tick, a campaign job body, a
 /// detection trial — where the allocating convenience wrappers (e.g.
-/// [`Acquisition::acquire`]) would reallocate 65 536-sample buffers
+/// [`acquire`](Self::acquire)) would reallocate 65 536-sample buffers
 /// thousands of times per sweep. One-shot callers (tests, examples,
 /// report rendering) can use the allocating forms freely; both produce
 /// bit-identical results.
@@ -203,11 +200,7 @@ const CUSTOM_CACHE_CAP: usize = 64;
 impl<'c> AcqContext<'c> {
     /// Creates a context with the paper's spectrum-analyzer settings.
     pub fn new(chip: &'c TestChip) -> Self {
-        Self::with_specan(chip, SpectrumAnalyzer::date24())
-    }
-
-    /// Creates a context with explicit spectrum-analyzer settings.
-    pub fn with_specan(chip: &'c TestChip, specan: SpectrumAnalyzer) -> Self {
+        let specan = SpectrumAnalyzer::date24();
         let display = specan.scratch();
         AcqContext {
             chip,
@@ -275,7 +268,8 @@ impl<'c> AcqContext<'c> {
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::acquire`].
+    /// Propagates configuration errors ([`CoreError`]) from the
+    /// coupling lookup or analog chain; `n_records == 0` is invalid.
     pub fn acquire_into(
         &mut self,
         scenario: &Scenario,
@@ -287,11 +281,14 @@ impl<'c> AcqContext<'c> {
     }
 
     /// [`acquire_into`](Self::acquire_into) with an explicit record
-    /// length in clock cycles.
+    /// length in clock cycles. The literature-baseline detectors use the
+    /// shorter records of their original setups (coarser RBW), which is
+    /// part of why they miss small Trojans.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::acquire_len`].
+    /// Same as [`acquire_into`](Self::acquire_into); `record_cycles == 0`
+    /// is invalid.
     pub fn acquire_len_into(
         &mut self,
         scenario: &Scenario,
@@ -303,44 +300,15 @@ impl<'c> AcqContext<'c> {
         self.acquire_records(scenario, sensor, n_records, record_cycles, &[], out)
     }
 
-    /// [`acquire_len_into`](Self::acquire_len_into) with a synthetic
-    /// emitter superposed on the chip's activity — the placement-sweep
-    /// acquisition path. With `emitter.coupling == 0.0` or zero drive
-    /// the result is bit-identical to the plain acquisition. Exactly
-    /// equivalent to [`acquire_len_with_emitters_into`]
-    /// (Self::acquire_len_with_emitters_into) with a one-element slice.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`acquire_len_into`](Self::acquire_len_into).
-    pub fn acquire_len_with_emitter_into(
-        &mut self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        n_records: usize,
-        record_cycles: usize,
-        emitter: InjectedEmitter<'_>,
-        out: &mut TraceSet,
-    ) -> Result<(), CoreError> {
-        self.acquire_records(
-            scenario,
-            sensor,
-            n_records,
-            record_cycles,
-            std::slice::from_ref(&emitter),
-            out,
-        )
-    }
-
     /// [`acquire_len_into`](Self::acquire_len_into) with a **set** of
     /// synthetic emitters superposed on the chip's activity — the joint-
     /// localization acquisition path. Every emitter is pure in the
     /// absolute cycle, so placements still parallelize: each one's
     /// toggle train is regenerated from the record's start cycle and
     /// superposed in slice order, exactly like the chip's own sources.
-    /// An empty slice is bit-identical to the plain acquisition and a
-    /// one-element slice is bit-identical to
-    /// [`acquire_len_with_emitter_into`](Self::acquire_len_with_emitter_into).
+    /// An empty slice is bit-identical to the plain acquisition; an
+    /// emitter with `coupling == 0.0` or zero drive leaves the records
+    /// unchanged.
     ///
     /// # Errors
     ///
@@ -483,7 +451,7 @@ impl<'c> AcqContext<'c> {
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::acquire`].
+    /// Same as [`acquire_into`](Self::acquire_into).
     pub fn acquire(
         &mut self,
         scenario: &Scenario,
@@ -496,23 +464,26 @@ impl<'c> AcqContext<'c> {
     }
 
     /// Renders the averaged 2000-point display spectrum (dB) of a trace
-    /// set, reusing the display-window scratch.
+    /// set — one Fig 4 panel — reusing the display-window scratch.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::spectrum_db`].
+    /// Propagates spectrum errors for empty trace sets.
     pub fn spectrum_db(&mut self, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
         Ok(self
             .specan
             .averaged_trace_db_with(&mut self.display, &traces.records, traces.fs_hz)?)
     }
 
-    /// Full-FFT-resolution averaged amplitude spectrum in dB, reusing
-    /// the detector-window scratch.
+    /// Full-FFT-resolution averaged amplitude spectrum in dB (one value
+    /// per FFT bin up to Nyquist), reusing the detector-window scratch.
+    /// The *detector* works at this resolution; the 2000-point
+    /// [`spectrum_db`](Self::spectrum_db) trace is the human-facing
+    /// display.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::fullres_spectrum_db`].
+    /// Returns [`CoreError::InvalidParameter`] for an empty trace set.
     pub fn fullres_spectrum_db(&mut self, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
         if traces.records.is_empty() {
             return Err(CoreError::InvalidParameter {
@@ -564,11 +535,13 @@ impl<'c> AcqContext<'c> {
         result
     }
 
-    /// Convenience: acquire and render the averaged display spectrum.
+    /// Convenience: acquire and render the averaged display spectrum,
+    /// using the paper's five-trace averaging.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::averaged_spectrum_db`].
+    /// Same as [`acquire_into`](Self::acquire_into) and
+    /// [`spectrum_db`](Self::spectrum_db).
     pub fn averaged_spectrum_db(
         &mut self,
         scenario: &Scenario,
@@ -596,11 +569,12 @@ impl<'c> AcqContext<'c> {
     }
 
     /// Zero-span envelope of `center_hz` over `n_records` concatenated
-    /// records, reusing the concatenation scratch.
+    /// records — one Fig 5 panel — reusing the concatenation scratch.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::zero_span`].
+    /// Same as [`acquire_into`](Self::acquire_into), plus zero-span
+    /// configuration errors.
     pub fn zero_span(
         &mut self,
         scenario: &Scenario,
@@ -621,12 +595,14 @@ impl<'c> AcqContext<'c> {
         result
     }
 
-    /// Zero-span with an explicit resolution bandwidth, reusing the
+    /// Zero-span with an explicit resolution bandwidth (identification
+    /// uses [`calib::IDENTIFY_RBW_HZ`] to reject the 3 MHz family
+    /// neighbour and the AES block-rate lines), reusing the
     /// concatenation scratch.
     ///
     /// # Errors
     ///
-    /// Same as [`Acquisition::zero_span_rbw`].
+    /// Same as [`zero_span`](Self::zero_span).
     pub fn zero_span_rbw(
         &mut self,
         scenario: &Scenario,
@@ -649,164 +625,6 @@ impl<'c> AcqContext<'c> {
             });
         self.traces = traces;
         result
-    }
-}
-
-/// The acquisition engine bound to a chip.
-///
-/// Stateless and `Sync`; every method internally runs on a fresh
-/// [`AcqContext`], so scratch is still reused across the records of one
-/// call. Loops that issue many calls should hold their own context via
-/// [`context`](Self::context).
-#[derive(Debug, Clone)]
-pub struct Acquisition<'a> {
-    chip: &'a TestChip,
-    specan: SpectrumAnalyzer,
-}
-
-impl<'a> Acquisition<'a> {
-    /// Creates an engine with the paper's spectrum-analyzer settings.
-    pub fn new(chip: &'a TestChip) -> Self {
-        Acquisition {
-            chip,
-            specan: SpectrumAnalyzer::date24(),
-        }
-    }
-
-    /// The spectrum-analyzer model in use.
-    pub fn specan(&self) -> &SpectrumAnalyzer {
-        &self.specan
-    }
-
-    /// A reusable per-worker context bound to the same chip and
-    /// analyzer settings.
-    pub fn context(&self) -> AcqContext<'a> {
-        AcqContext::with_specan(self.chip, self.specan.clone())
-    }
-
-    /// Acquires `n_records` consecutive records from `sensor` while the
-    /// chip runs `scenario`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors ([`CoreError`]) from the
-    /// coupling lookup or analog chain; `n_records == 0` is invalid.
-    pub fn acquire(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        n_records: usize,
-    ) -> Result<TraceSet, CoreError> {
-        self.acquire_len(scenario, sensor, n_records, calib::RECORD_CYCLES)
-    }
-
-    /// Like [`acquire`](Self::acquire) with an explicit record length in
-    /// clock cycles. The literature-baseline detectors use the shorter
-    /// records of their original setups (coarser RBW), which is part of
-    /// why they miss small Trojans.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`acquire`](Self::acquire); `record_cycles == 0` is
-    /// invalid.
-    pub fn acquire_len(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        n_records: usize,
-        record_cycles: usize,
-    ) -> Result<TraceSet, CoreError> {
-        let mut out = TraceSet::default();
-        self.context()
-            .acquire_len_into(scenario, sensor, n_records, record_cycles, &mut out)?;
-        Ok(out)
-    }
-
-    /// Renders the averaged 2000-point spectrum (dB) of a trace set —
-    /// one Fig 4 panel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spectrum errors for empty trace sets.
-    pub fn spectrum_db(&self, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
-        self.context().spectrum_db(traces)
-    }
-
-    /// Convenience: acquire and render the averaged spectrum in one
-    /// call, using the paper's five-trace averaging.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`acquire`](Self::acquire) and
-    /// [`spectrum_db`](Self::spectrum_db).
-    pub fn averaged_spectrum_db(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-    ) -> Result<Vec<f64>, CoreError> {
-        self.context().averaged_spectrum_db(scenario, sensor)
-    }
-
-    /// Full-FFT-resolution averaged amplitude spectrum in dB (one value
-    /// per FFT bin up to Nyquist). The *detector* works at this
-    /// resolution; the 2000-point [`spectrum_db`](Self::spectrum_db)
-    /// trace is the human-facing display.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spectrum errors for empty trace sets.
-    pub fn fullres_spectrum_db(&self, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
-        self.context().fullres_spectrum_db(traces)
-    }
-
-    /// Frequency of full-resolution bin `k` for the standard record
-    /// length.
-    pub fn fullres_bin_hz(&self, k: usize) -> f64 {
-        let n = calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE;
-        psa_dsp::fft::bin_freq(k, n, calib::sample_rate_hz())
-    }
-
-    /// Closest full-resolution bin to a frequency.
-    pub fn fullres_freq_bin(&self, freq_hz: f64) -> usize {
-        let n = calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE;
-        psa_dsp::fft::freq_bin(freq_hz, n, calib::sample_rate_hz())
-    }
-
-    /// Zero-span envelope of `center_hz` over `n_records` concatenated
-    /// records — one Fig 5 panel.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`acquire`](Self::acquire), plus zero-span configuration
-    /// errors.
-    pub fn zero_span(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        center_hz: f64,
-        n_records: usize,
-    ) -> Result<Vec<f64>, CoreError> {
-        self.context()
-            .zero_span(scenario, sensor, center_hz, n_records)
-    }
-
-    /// Zero-span with explicit resolution bandwidth (identification uses
-    /// [`calib::IDENTIFY_RBW_HZ`] to reject the 3 MHz family neighbour
-    /// and the AES block-rate lines).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`zero_span`](Self::zero_span).
-    pub fn zero_span_rbw(
-        &self,
-        scenario: &Scenario,
-        sensor: SensorSelect,
-        center_hz: f64,
-        rbw_hz: f64,
-        n_records: usize,
-    ) -> Result<Vec<f64>, CoreError> {
-        self.context()
-            .zero_span_rbw(scenario, sensor, center_hz, rbw_hz, n_records)
     }
 }
 
@@ -842,8 +660,7 @@ mod tests {
 
     #[test]
     fn acquires_requested_records() {
-        let acq = Acquisition::new(chip());
-        let t = acq
+        let t = AcqContext::new(chip())
             .acquire(&Scenario::baseline(), SensorSelect::Psa(10), 3)
             .unwrap();
         assert_eq!(t.len(), 3);
@@ -860,8 +677,7 @@ mod tests {
 
     #[test]
     fn zero_records_invalid() {
-        let acq = Acquisition::new(chip());
-        assert!(acq
+        assert!(AcqContext::new(chip())
             .acquire(&Scenario::baseline(), SensorSelect::Psa(0), 0)
             .is_err());
     }
@@ -884,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn emitter_slice_generalizes_single_emitter_bitwise() {
+    fn emitter_slice_is_plain_when_empty_and_deterministic() {
         let trojan = SyntheticTrojan::am_reference(800.0);
         let scenario = Scenario::baseline().with_seed(11);
         // Borrow a realistic coupling magnitude from the chip's own
@@ -899,80 +715,49 @@ mod tests {
             charge_fc: 2.0,
             coupling: k,
         };
-
         let mut ctx = AcqContext::new(chip());
-        let mut single = TraceSet::default();
-        ctx.acquire_len_with_emitter_into(&scenario, SensorSelect::Psa(10), 2, 256, e, &mut single)
+        let with_emitters = |ctx: &mut AcqContext<'_>, emitters: &[InjectedEmitter<'_>]| {
+            let mut out = TraceSet::default();
+            ctx.acquire_len_with_emitters_into(
+                &scenario,
+                SensorSelect::Psa(10),
+                2,
+                256,
+                emitters,
+                &mut out,
+            )
             .unwrap();
-        let mut slice1 = TraceSet::default();
-        ctx.acquire_len_with_emitters_into(
-            &scenario,
-            SensorSelect::Psa(10),
-            2,
-            256,
-            &[e],
-            &mut slice1,
-        )
-        .unwrap();
-        // One-element slice is the old single-emitter path, bit for bit.
-        assert_eq!(single, slice1);
+            out
+        };
 
         // Empty slice is the plain acquisition, bit for bit.
         let mut plain = TraceSet::default();
         ctx.acquire_len_into(&scenario, SensorSelect::Psa(10), 2, 256, &mut plain)
             .unwrap();
-        let mut slice0 = TraceSet::default();
-        ctx.acquire_len_with_emitters_into(
-            &scenario,
-            SensorSelect::Psa(10),
-            2,
-            256,
-            &[],
-            &mut slice0,
-        )
-        .unwrap();
-        assert_eq!(plain, slice0);
+        assert_eq!(plain, with_emitters(&mut ctx, &[]));
 
-        // A second superposed emitter actually changes the records, and
-        // the two-emitter path is deterministic across contexts.
+        // A superposed emitter changes the records, a second one changes
+        // them again, and the slice path is deterministic across
+        // contexts.
+        let single = with_emitters(&mut ctx, &[e]);
+        assert_ne!(single, plain);
         let e2 = InjectedEmitter {
-            trojan: &trojan,
-            charge_fc: 2.0,
             coupling: -0.5 * k,
+            ..e
         };
-        let mut both = TraceSet::default();
-        ctx.acquire_len_with_emitters_into(
-            &scenario,
-            SensorSelect::Psa(10),
-            2,
-            256,
-            &[e, e2],
-            &mut both,
-        )
-        .unwrap();
+        let both = with_emitters(&mut ctx, &[e, e2]);
         assert_ne!(both, single);
-        let mut fresh = AcqContext::new(chip());
-        let mut again = TraceSet::default();
-        fresh
-            .acquire_len_with_emitters_into(
-                &scenario,
-                SensorSelect::Psa(10),
-                2,
-                256,
-                &[e, e2],
-                &mut again,
-            )
-            .unwrap();
-        assert_eq!(both, again);
+        assert_eq!(both, with_emitters(&mut AcqContext::new(chip()), &[e, e2]));
+        assert_eq!(single, with_emitters(&mut AcqContext::new(chip()), &[e]));
     }
 
     #[test]
     fn signal_beats_noise_on_sensor10() {
-        let acq = Acquisition::new(chip());
-        let sig = acq
+        let mut ctx = AcqContext::new(chip());
+        let sig = ctx
             .acquire(&Scenario::baseline(), SensorSelect::Psa(10), 2)
             .unwrap();
-        let noise = acq
+        let noise = ctx
             .acquire(&Scenario::noise(), SensorSelect::Psa(10), 2)
             .unwrap();
         let snr = 20.0 * (sig.rms() / noise.rms()).log10();
@@ -981,12 +766,12 @@ mod tests {
 
     #[test]
     fn spectrum_has_clock_harmonics() {
-        let acq = Acquisition::new(chip());
-        let spec = acq
+        let mut ctx = AcqContext::new(chip());
+        let spec = ctx
             .averaged_spectrum_db(&Scenario::baseline(), SensorSelect::Psa(10))
             .unwrap();
         assert_eq!(spec.len(), 2000);
-        let sa = acq.specan();
+        let sa = ctx.specan();
         let at = |f: f64| spec[sa.freq_point(f)];
         // 33 MHz clock line well above the floor between harmonics.
         let clock = at(33.0e6);
@@ -996,18 +781,17 @@ mod tests {
 
     #[test]
     fn trojan_sideband_appears_at_48mhz() {
-        let acq = Acquisition::new(chip());
-        let base = acq
+        let mut ctx = AcqContext::new(chip());
+        let base = ctx
             .averaged_spectrum_db(&Scenario::baseline(), SensorSelect::Psa(10))
             .unwrap();
-        let active = acq
+        let active = ctx
             .averaged_spectrum_db(
                 &Scenario::trojan_active(TrojanKind::T4),
                 SensorSelect::Psa(10),
             )
             .unwrap();
-        let sa = acq.specan();
-        let p48 = sa.freq_point(48.0e6);
+        let p48 = ctx.specan().freq_point(48.0e6);
         let excess = active[p48] - base[p48];
         assert!(excess > 10.0, "48 MHz sideband excess {excess} dB");
     }
@@ -1019,21 +803,21 @@ mod tests {
         // point-dipole far-field leaves a residual line at sensor 0 that
         // the silicon's distributed return currents suppress further —
         // see EXPERIMENTS.md.)
-        let acq = Acquisition::new(chip());
-        let excess_at = |sensor: usize| {
-            let t_base = acq
+        let mut ctx = AcqContext::new(chip());
+        let mut excess_at = |sensor: usize| {
+            let t_base = ctx
                 .acquire(&Scenario::baseline(), SensorSelect::Psa(sensor), 3)
                 .unwrap();
-            let t_act = acq
+            let t_act = ctx
                 .acquire(
                     &Scenario::trojan_active(TrojanKind::T1),
                     SensorSelect::Psa(sensor),
                     3,
                 )
                 .unwrap();
-            let base = acq.fullres_spectrum_db(&t_base).unwrap();
-            let act = acq.fullres_spectrum_db(&t_act).unwrap();
-            let b = acq.fullres_freq_bin(48.0e6);
+            let base = ctx.fullres_spectrum_db(&t_base).unwrap();
+            let act = ctx.fullres_spectrum_db(&t_act).unwrap();
+            let b = ctx.fullres_freq_bin(48.0e6);
             (b - 3..=b + 3)
                 .map(|k| act[k] - base[k])
                 .fold(f64::MIN, f64::max)
@@ -1045,20 +829,19 @@ mod tests {
 
     #[test]
     fn acquisition_is_deterministic() {
-        let acq = Acquisition::new(chip());
+        let mut ctx = AcqContext::new(chip());
         let s = Scenario::baseline().with_seed(33);
-        let a = acq.acquire(&s, SensorSelect::Psa(5), 2).unwrap();
-        let b = acq.acquire(&s, SensorSelect::Psa(5), 2).unwrap();
+        let a = ctx.acquire(&s, SensorSelect::Psa(5), 2).unwrap();
+        let b = ctx.acquire(&s, SensorSelect::Psa(5), 2).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn context_reuse_matches_fresh_engine_bitwise() {
+    fn context_reuse_matches_fresh_context_bitwise() {
         // One context, several different acquisitions in sequence: every
-        // result must be byte-identical to a fresh stateless run — the
+        // result must be byte-identical to a fresh context's — the
         // parallel-equivalence contract.
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let mut ctx = AcqContext::new(chip());
         let scenarios = [
             (Scenario::baseline().with_seed(5), SensorSelect::Psa(10)),
             (
@@ -1067,32 +850,28 @@ mod tests {
             ),
             (Scenario::noise().with_seed(7), SensorSelect::SingleCoil),
         ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut reused = TraceSet::default();
         for (scenario, sensor) in &scenarios {
             ctx.acquire_into(scenario, *sensor, 2, &mut reused).unwrap();
-            let fresh = acq.acquire(scenario, *sensor, 2).unwrap();
+            let mut fresh_ctx = AcqContext::new(chip());
+            let fresh = fresh_ctx.acquire(scenario, *sensor, 2).unwrap();
             assert_eq!(reused, fresh);
-            let spec_ctx = ctx.fullres_spectrum_db(&reused).unwrap();
-            let spec_fresh = acq.fullres_spectrum_db(&fresh).unwrap();
-            assert!(spec_ctx
-                .iter()
-                .zip(&spec_fresh)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-            let disp_ctx = ctx.spectrum_db(&reused).unwrap();
-            let disp_fresh = acq.spectrum_db(&fresh).unwrap();
-            assert!(disp_ctx
-                .iter()
-                .zip(&disp_fresh)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            let spec_fresh = fresh_ctx.fullres_spectrum_db(&fresh).unwrap();
+            assert_eq!(
+                bits(&ctx.fullres_spectrum_db(&reused).unwrap()),
+                bits(&spec_fresh)
+            );
+            assert_eq!(
+                bits(&ctx.spectrum_db(&reused).unwrap()),
+                bits(&AcqContext::new(chip()).spectrum_db(&fresh).unwrap())
+            );
             // The one-call hot path (internal trace-slot reuse) matches
             // the two-call path bit-for-bit too.
             let combined = ctx
                 .acquire_fullres_spectrum_db(scenario, *sensor, 2)
                 .unwrap();
-            assert!(combined
-                .iter()
-                .zip(&spec_fresh)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(bits(&combined), bits(&spec_fresh));
         }
     }
 
@@ -1101,8 +880,7 @@ mod tests {
         // The fleet determinism anchor: `None` and an all-1.0 nominal
         // variation must produce byte-identical records, so un-varied
         // callers pay nothing for the fleet hook.
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let mut ctx = AcqContext::new(chip());
         let scenario = Scenario::trojan_active(TrojanKind::T1).with_seed(41);
         let plain = ctx.acquire(&scenario, SensorSelect::Psa(10), 2).unwrap();
         ctx.set_variation(Some(ChipVariation::nominal()));
@@ -1117,8 +895,7 @@ mod tests {
         // Two dies drawn from different seeds must not share traces —
         // the whole point of fleet-scale process variation — while the
         // same die re-acquired reproduces itself exactly.
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let mut ctx = AcqContext::new(chip());
         let scenario = Scenario::baseline().with_seed(17);
         ctx.set_variation(Some(ChipVariation::new(1)));
         let die_a = ctx.acquire(&scenario, SensorSelect::Psa(10), 1).unwrap();
@@ -1136,20 +913,18 @@ mod tests {
         // the 4-bit decoder's selection at the trace level: same
         // couplings, same noise floor, same frontend seed → identical
         // bytes out of the ADC.
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let mut ctx = AcqContext::new(chip());
         let scenario = Scenario::trojan_active(TrojanKind::T3).with_seed(91);
         let p = psa_array::program::CoilProgram::preset(10).unwrap();
         let via_custom = ctx.acquire(&scenario, SensorSelect::Custom(p), 2).unwrap();
-        let via_preset = acq.acquire(&scenario, SensorSelect::Psa(10), 2).unwrap();
+        let via_preset = ctx.acquire(&scenario, SensorSelect::Psa(10), 2).unwrap();
         assert_eq!(via_custom.records, via_preset.records);
         assert_eq!(via_custom.fs_hz, via_preset.fs_hz);
     }
 
     #[test]
     fn custom_cache_reuses_synthesis_and_stays_bounded() {
-        let acq = Acquisition::new(chip());
-        let mut ctx = acq.context();
+        let mut ctx = AcqContext::new(chip());
         let scenario = Scenario::baseline().with_seed(5);
         let p = psa_array::program::CoilProgram::new(18, 18, 26, 26, 3).unwrap();
         assert_eq!(ctx.custom_cache_len(), 0);
@@ -1180,7 +955,6 @@ mod tests {
         // The campaign engine shares one chip across workers and gives
         // each worker an owned context.
         assert_sync::<TestChip>();
-        assert_sync::<Acquisition<'_>>();
         assert_send::<AcqContext<'_>>();
         assert_send::<TraceSet>();
     }

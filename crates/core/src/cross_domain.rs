@@ -36,10 +36,11 @@ pub struct Baseline {
 }
 
 impl Baseline {
-    /// Learns the run-time baseline with `config`'s trace budget — the
-    /// template-free path: callers that only need baseline spectra (the
-    /// campaign engine, detector construction) never pay for the
-    /// analyzer's identification template library.
+    /// Learns the run-time baseline with `config`'s trace budget:
+    /// averaged spectra of all 16 sensors while the chip encrypts with
+    /// every Trojan dormant. Template-free — callers that only need
+    /// baseline spectra (the campaign engine, detector construction)
+    /// never pay for the analyzer's identification template library.
     ///
     /// # Panics
     ///
@@ -208,55 +209,9 @@ impl<'a> CrossDomainAnalyzer<'a> {
         &self.config
     }
 
-    /// Learns the run-time baseline: averaged spectra of all 16 sensors
-    /// while the chip encrypts with every Trojan dormant.
-    ///
-    /// # Panics
-    ///
-    /// Never panics; acquisition failures cannot occur for the built-in
-    /// 16-sensor bank (indices are in range by construction).
-    pub fn learn_baseline(&self, seed: u64) -> Baseline {
-        self.learn_baseline_with(&mut AcqContext::new(self.chip), seed)
-    }
-
-    /// [`learn_baseline`](Self::learn_baseline) on a reusable per-worker
-    /// context. Each sensor's spectrum depends only on `(seed, sensor)`,
-    /// so the campaign engine can also fan the 16 sensors out across
-    /// workers and reassemble an identical [`Baseline`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`learn_baseline`](Self::learn_baseline).
-    pub fn learn_baseline_with(&self, ctx: &mut AcqContext<'_>, seed: u64) -> Baseline {
-        Baseline::learn_with(self.chip, &self.config, ctx, seed)
-    }
-
-    /// One sensor's learned-baseline spectrum (the per-job unit of the
-    /// parallel baseline learning).
-    ///
-    /// # Panics
-    ///
-    /// Never on built-in sensor indices (`i < 16`).
-    pub fn baseline_sensor_db_with(
-        &self,
-        ctx: &mut AcqContext<'_>,
-        seed: u64,
-        sensor: usize,
-    ) -> Vec<f64> {
-        Baseline::sensor_db_with(&self.config, ctx, seed, sensor)
-    }
-
-    /// Runs the full cross-domain pipeline on a scenario.
-    ///
-    /// # Errors
-    ///
-    /// Propagates acquisition/DSP errors ([`CoreError`]).
-    pub fn analyze(&self, scenario: &Scenario, baseline: &Baseline) -> Result<Verdict, CoreError> {
-        self.analyze_with(&mut AcqContext::new(self.chip), scenario, baseline)
-    }
-
-    /// [`analyze`](Self::analyze) on a reusable per-worker context (the
-    /// campaign engine's path). Bit-identical to [`analyze`](Self::analyze).
+    /// Runs the full cross-domain pipeline on a scenario, on a reusable
+    /// per-worker context (the baseline comes from
+    /// [`Baseline::learn_with`]).
     ///
     /// # Errors
     ///

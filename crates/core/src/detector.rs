@@ -1,13 +1,12 @@
 //! Pluggable Trojan detectors: continuous decision statistics behind a
 //! common scored API.
 //!
-//! Every backend implements [`ScoredDetector`]: it exposes the *raw*
-//! decision statistic ([`score_with`](ScoredDetector::score_with),
-//! higher = more Trojan-like), its default decision threshold, and a
-//! [`Capabilities`] descriptor. The yes/no surface ([`Detector`] with
-//! [`detect`](Detector::detect)/[`detect_with`](Detector::detect_with))
-//! is a thin adapter: score once, then apply the shared strict
-//! `score > threshold` rule ([`ScoredDetector::decide`]). Keeping the
+//! Every backend implements [`Detector`]: it exposes the *raw* decision
+//! statistic ([`score_with`](Detector::score_with), higher = more
+//! Trojan-like), its default decision threshold, and a [`Capabilities`]
+//! descriptor. The yes/no verdict ([`detect_with`](Detector::detect_with))
+//! is provided: score once, then apply the shared strict
+//! `score > threshold` rule ([`Detector::decide`]). Keeping the
 //! statistic continuous is what lets the bake-off campaign
 //! (`psa_runtime::bakeoff`) sweep the threshold over the observed score
 //! distribution and emit full ROC/AUC curves instead of the single
@@ -36,7 +35,7 @@
 //! * **Orientation** — higher scores mean "more Trojan-like". A
 //!   backend whose natural statistic points the other way must negate
 //!   it before returning.
-//! * **Decision rule** — [`decide`](ScoredDetector::decide) is the
+//! * **Decision rule** — [`decide`](Detector::decide) is the
 //!   strict comparison `score > threshold` for every backend; do not
 //!   override it, or threshold sweeps stop corresponding to the
 //!   backend's own verdicts.
@@ -112,23 +111,26 @@ pub struct DetectionOutcome {
     pub identified: Option<TrojanKind>,
 }
 
-/// A Trojan detection *statistic* operating on the simulated chip.
+/// A Trojan detection *statistic* operating on the simulated chip, with
+/// the yes/no verdict derived from it.
 ///
 /// Detectors are `Send + Sync` (plain configuration plus learned
 /// baselines) so the campaign engine can share one instance across its
 /// worker threads; each worker passes its own [`AcqContext`] to
-/// [`score_with`](Self::score_with).
-pub trait ScoredDetector: Send + Sync {
+/// [`score_with`](Self::score_with) and
+/// [`detect_with`](Self::detect_with). Backends with extra per-detection
+/// outputs (localization, identification) override `detect_with` while
+/// keeping `detected == decide(score, threshold())`.
+pub trait Detector: Send + Sync {
     /// Human-readable method name (Table I column header).
     fn name(&self) -> &'static str;
 
     /// What the method can report beyond the verdict.
     fn capabilities(&self) -> Capabilities;
 
-    /// The default decision threshold [`Detector::detect`]/
-    /// [`Detector::detect_with`] apply, in the same units as the score.
-    /// Backends surface it from their public config structs so callers
-    /// can sweep it.
+    /// The default decision threshold [`detect_with`](Self::detect_with)
+    /// applies, in the same units as the score. Backends surface it from
+    /// their public config structs so callers can sweep it.
     fn threshold(&self) -> f64;
 
     /// Traces one [`score_with`](Self::score_with) call consumes (the
@@ -147,35 +149,10 @@ pub trait ScoredDetector: Send + Sync {
 
     /// The shared decision rule: a Trojan is called iff
     /// `score > threshold` (strict). Do **not** override — the bake-off
-    /// threshold sweep and every `detect` adapter assume this exact
-    /// comparison.
+    /// threshold sweep and [`detect_with`](Self::detect_with) assume
+    /// this exact comparison.
     fn decide(&self, score: f64, threshold: f64) -> bool {
         score > threshold
-    }
-}
-
-/// The yes/no detection surface: thin adapters over
-/// [`ScoredDetector`]'s continuous statistic.
-///
-/// Implemented as `impl Detector for X {}` once `X: ScoredDetector`;
-/// backends with extra per-detection outputs (localization,
-/// identification) override [`detect_with`](Self::detect_with) while
-/// keeping `detected == decide(score, threshold())`.
-pub trait Detector: ScoredDetector {
-    /// Runs one detection attempt against `scenario`.
-    ///
-    /// **Contract:** this convenience allocates a fresh [`AcqContext`]
-    /// (record/FFT scratch buffers) on *every call*. It is intended for
-    /// one-shot use; any caller scoring in a loop or campaign must hold
-    /// one context per worker and call
-    /// [`detect_with`](Self::detect_with) instead — the engine's
-    /// `Campaign::run` does exactly that.
-    ///
-    /// # Errors
-    ///
-    /// Propagates acquisition/analysis errors ([`CoreError`]).
-    fn detect(&self, chip: &TestChip, scenario: &Scenario) -> Result<DetectionOutcome, CoreError> {
-        self.detect_with(&mut AcqContext::new(chip), scenario)
     }
 
     /// Runs one detection attempt on a reusable per-worker context:
@@ -270,7 +247,7 @@ impl CrossDomainDetector {
     }
 }
 
-impl ScoredDetector for CrossDomainDetector {
+impl Detector for CrossDomainDetector {
     fn name(&self) -> &'static str {
         "PSA cross-domain (this work)"
     }
@@ -325,15 +302,13 @@ impl ScoredDetector for CrossDomainDetector {
         }
         Ok(peak)
     }
-}
 
-impl Detector for CrossDomainDetector {
     /// The full pipeline: the analyzer's frequency-domain sweep plus
     /// localization and zero-span identification. The verdict keeps the
     /// analyzer's historical decision (≥ `min_components` emergent
     /// components); its continuous statistic
     /// ([`Verdict::peak_excess_db`](crate::cross_domain::Verdict)) is
-    /// bit-identical to [`score_with`](ScoredDetector::score_with) on
+    /// bit-identical to [`score_with`](Detector::score_with) on
     /// the same scenario.
     fn detect_with(
         &self,
@@ -440,7 +415,7 @@ impl EuclideanDetector {
     }
 }
 
-impl ScoredDetector for EuclideanDetector {
+impl Detector for EuclideanDetector {
     fn name(&self) -> &'static str {
         match self.sensor {
             SensorSelect::LangerLf1 | SensorSelect::IcrHh100 => {
@@ -533,8 +508,6 @@ impl ScoredDetector for EuclideanDetector {
         }
     }
 }
-
-impl Detector for EuclideanDetector {}
 
 fn linear_spectrum(ctx: &mut AcqContext<'_>, traces: &TraceSet) -> Result<Vec<f64>, CoreError> {
     let db = ctx.spectrum_db(traces)?;
@@ -649,7 +622,7 @@ impl BackscatterDetector {
     }
 }
 
-impl ScoredDetector for BackscatterDetector {
+impl Detector for BackscatterDetector {
     fn name(&self) -> &'static str {
         "backscattering + PCA/K-means (HOST'20)"
     }
@@ -711,8 +684,6 @@ impl ScoredDetector for BackscatterDetector {
         }
     }
 }
-
-impl Detector for BackscatterDetector {}
 
 fn majority(assignments: &[usize]) -> usize {
     let ones = assignments.iter().filter(|&&a| a == 1).count();

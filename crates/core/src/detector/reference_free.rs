@@ -15,7 +15,7 @@
 //!   tone reappears at the same frequency at every spectral resolution,
 //!   a noise excursion does not.
 //!
-//! Three statistics over that structure, each a [`ScoredDetector`]:
+//! Three statistics over that structure, each a [`Detector`]:
 //!
 //! * [`SpectralOutlierDetector`] — the fraction of non-harmonic band
 //!   power carried by bins that are robust-z outliers above a
@@ -30,7 +30,7 @@
 //! convention: higher = more Trojan-like, decision by strict
 //! `score > threshold`.
 
-use super::{Capabilities, Detector, ScoredDetector};
+use super::{Capabilities, Detector};
 use crate::acquisition::{AcqContext, TraceSet};
 use crate::calib;
 use crate::chip::SensorSelect;
@@ -178,7 +178,7 @@ impl SpectralOutlierDetector {
     }
 }
 
-impl ScoredDetector for SpectralOutlierDetector {
+impl Detector for SpectralOutlierDetector {
     fn name(&self) -> &'static str {
         "spectral-outlier energy ratio (reference-free)"
     }
@@ -235,8 +235,6 @@ impl ScoredDetector for SpectralOutlierDetector {
     }
 }
 
-impl Detector for SpectralOutlierDetector {}
-
 /// Configuration of the cross-scale persistence statistic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistenceConfig {
@@ -291,7 +289,7 @@ impl CrossScalePersistenceDetector {
     }
 }
 
-impl ScoredDetector for CrossScalePersistenceDetector {
+impl Detector for CrossScalePersistenceDetector {
     fn name(&self) -> &'static str {
         "cross-scale persistence (reference-free)"
     }
@@ -377,8 +375,6 @@ impl ScoredDetector for CrossScalePersistenceDetector {
     }
 }
 
-impl Detector for CrossScalePersistenceDetector {}
-
 /// Reference-free spectral kurtosis.
 ///
 /// With only broadband content, the floor-removed non-harmonic residual
@@ -416,7 +412,7 @@ impl Default for SpectralKurtosisDetector {
     }
 }
 
-impl ScoredDetector for SpectralKurtosisDetector {
+impl Detector for SpectralKurtosisDetector {
     fn name(&self) -> &'static str {
         "spectral kurtosis (reference-free)"
     }
@@ -462,8 +458,6 @@ impl ScoredDetector for SpectralKurtosisDetector {
         Ok(score)
     }
 }
-
-impl Detector for SpectralKurtosisDetector {}
 
 #[cfg(test)]
 mod tests {

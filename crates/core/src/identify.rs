@@ -9,6 +9,7 @@
 //! paper's "without full supervision"), with unsupervised clustering as
 //! a cross-check.
 
+use crate::acquisition::AcqContext;
 use crate::chip::TestChip;
 use crate::error::CoreError;
 use psa_dsp::{correlate, stats};
@@ -251,10 +252,9 @@ impl TemplateLibrary {
     /// Propagates acquisition errors from the reference simulations and
     /// fitting errors from [`from_samples`](Self::from_samples).
     pub fn reference(chip: &TestChip) -> Result<Self, CoreError> {
-        use crate::acquisition::Acquisition;
         use crate::scenario::Scenario;
 
-        let acq = Acquisition::new(chip);
+        let mut ctx = AcqContext::new(chip);
         let mut samples = Vec::new();
         let mut kinds = Vec::new();
         // Two reference keys per Trojan for template robustness.
@@ -273,7 +273,7 @@ impl TemplateLibrary {
                 let baseline = Scenario::baseline()
                     .with_key(*key)
                     .with_seed(0xBEEF + ki as u64);
-                let sig = acquire_signature(chip, &acq, &scenario, &baseline, 10, 48.0e6)?;
+                let sig = acquire_signature(&mut ctx, &scenario, &baseline, 10, 48.0e6)?;
                 samples.push(sig.to_vec());
                 kinds.push(kind);
             }
@@ -347,29 +347,27 @@ impl TemplateLibrary {
 ///
 /// Propagates acquisition/DSP errors.
 pub fn acquire_signature(
-    chip: &TestChip,
-    acq: &crate::acquisition::Acquisition<'_>,
+    ctx: &mut AcqContext<'_>,
     scenario: &crate::scenario::Scenario,
     baseline_scenario: &crate::scenario::Scenario,
     sensor: usize,
     line_freq_hz: f64,
 ) -> Result<TrojanSignature, CoreError> {
     use crate::chip::SensorSelect;
-    let _ = chip;
-    let traces = acq.acquire(
+    let traces = ctx.acquire(
         scenario,
         SensorSelect::Psa(sensor),
         crate::calib::TRACES_PER_SPECTRUM,
     )?;
-    let spec = acq.fullres_spectrum_db(&traces)?;
-    let base_traces = acq.acquire(
+    let spec = ctx.fullres_spectrum_db(&traces)?;
+    let base_traces = ctx.acquire(
         baseline_scenario,
         SensorSelect::Psa(sensor),
         crate::calib::TRACES_PER_SPECTRUM,
     )?;
-    let base = acq.fullres_spectrum_db(&base_traces)?;
+    let base = ctx.fullres_spectrum_db(&base_traces)?;
     let base_env = psa_dsp::peak::local_max_envelope(&base, 8);
-    signature_from_parts(acq, scenario, sensor, line_freq_hz, &spec, &base_env)
+    signature_from_parts_with(ctx, scenario, sensor, line_freq_hz, &spec, &base_env)
 }
 
 /// Builds a signature when the spectrum and baseline envelope are
@@ -378,32 +376,8 @@ pub fn acquire_signature(
 /// # Errors
 ///
 /// Propagates acquisition/DSP errors.
-pub fn signature_from_parts(
-    acq: &crate::acquisition::Acquisition<'_>,
-    scenario: &crate::scenario::Scenario,
-    sensor: usize,
-    line_freq_hz: f64,
-    spec_db: &[f64],
-    baseline_env_db: &[f64],
-) -> Result<TrojanSignature, CoreError> {
-    signature_from_parts_with(
-        &mut acq.context(),
-        scenario,
-        sensor,
-        line_freq_hz,
-        spec_db,
-        baseline_env_db,
-    )
-}
-
-/// [`signature_from_parts`] on a reusable per-worker
-/// [`AcqContext`](crate::acquisition::AcqContext) (the engine's path).
-///
-/// # Errors
-///
-/// Propagates acquisition/DSP errors.
 pub fn signature_from_parts_with(
-    ctx: &mut crate::acquisition::AcqContext<'_>,
+    ctx: &mut AcqContext<'_>,
     scenario: &crate::scenario::Scenario,
     sensor: usize,
     line_freq_hz: f64,

@@ -13,7 +13,10 @@
 //! * [`scenario`] — what the chip is doing during a measurement (which
 //!   Trojan is active, plaintexts, supply voltage, temperature, seed).
 //! * [`acquisition`] — collects voltage traces and spectra from any
-//!   sensor, exactly like the paper's spectrum-analyzer captures.
+//!   sensor, exactly like the paper's spectrum-analyzer captures,
+//!   through one reusable per-worker
+//!   [`AcqContext`](acquisition::AcqContext) that every analysis and
+//!   detection entry point takes.
 //! * [`calib`] — the few free physical constants, calibrated once so the
 //!   absolute SNR figures land near the paper's (Sec. VI-B).
 //! * [`cross_domain`] — the paper's detector: learn a same-chip baseline
@@ -22,10 +25,9 @@
 //!   to identify which Trojan is active.
 //! * [`identify`] — envelope feature extraction and the unsupervised /
 //!   nearest-template classification of Fig 5.
-//! * [`detector`] — the scored detection surface: a
-//!   [`detector::ScoredDetector`] trait (raw statistic + threshold +
-//!   one shared decision rule) with [`detector::Detector`] adapters on
-//!   top, the Table I baselines (Euclidean-distance statistics on
+//! * [`detector`] — the scored detection surface: one
+//!   [`detector::Detector`] trait (raw statistic + threshold + one
+//!   shared decision rule + the derived verdict), the Table I baselines (Euclidean-distance statistics on
 //!   external-probe and single-coil traces, He TVLSI'17 / He DAC'20;
 //!   backscattering PCA+K-means, Nguyen HOST'20), and the
 //!   reference-free statistics of [`detector::reference_free`].
@@ -52,16 +54,19 @@
 //! # Example
 //!
 //! ```no_run
+//! use psa_core::acquisition::AcqContext;
 //! use psa_core::chip::TestChip;
-//! use psa_core::cross_domain::CrossDomainAnalyzer;
+//! use psa_core::cross_domain::{Baseline, CrossDomainAnalyzer};
 //! use psa_core::scenario::Scenario;
 //! use psa_gatesim::trojan::TrojanKind;
 //!
 //! let chip = TestChip::date24();
+//! let mut ctx = AcqContext::new(&chip);
 //! let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
-//! let baseline = analyzer.learn_baseline(42);
+//! let baseline = Baseline::learn_with(&chip, analyzer.config(), &mut ctx, 42);
+//! let scenario = Scenario::trojan_active(TrojanKind::T1).with_seed(7);
 //! let verdict = analyzer
-//!     .analyze(&Scenario::trojan_active(TrojanKind::T1).with_seed(7), &baseline)
+//!     .analyze_with(&mut ctx, &scenario, &baseline)
 //!     .expect("analysis succeeds");
 //! assert!(verdict.detected);
 //! ```

@@ -25,7 +25,7 @@
 //!
 //! With a constant schedule, a frozen baseline, and one watched sensor,
 //! a session is **bit-identical** to the batch
-//! [`mttd_trial`](crate::mttd::mttd_trial) replay — which is now
+//! [`mttd_trial_with`](crate::mttd::mttd_trial_with) replay — which is now
 //! implemented as a thin adapter over this path.
 
 pub mod event;
@@ -39,5 +39,5 @@ pub use event::{MonitorEvent, MonitorEventKind};
 pub use report::MonitorReport;
 pub use schedule::{ActivationSchedule, ScheduleChange, ScheduleStep};
 pub use session::Monitor;
-pub use sliding::{LaneObservation, SlidingConfig, SlidingDetector, SpectrumUpdate};
+pub use sliding::{LaneObservation, SlidingConfig, SlidingDetector};
 pub use stream::StreamSource;

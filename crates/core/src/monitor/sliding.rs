@@ -8,50 +8,12 @@ use crate::error::CoreError;
 use crate::monitor::stream::StreamSource;
 use crate::scenario::Scenario;
 use psa_dsp::peak;
-use psa_dsp::sliding::{SlidingMode, SlidingSpectrum};
-
-/// How a lane maintains its rolling window-averaged spectrum.
-///
-/// Either way, each stream tick transforms only the **newly pulled
-/// record** (one FFT) and reuses cached per-record amplitude rows for
-/// the rest of the window — the batch path's one-FFT-per-window-record
-/// cost is gone from the steady state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectrumUpdate {
-    /// Re-sum the cached rows every tick. The summation order matches
-    /// the batch window recompute exactly, so spectra — and therefore
-    /// monitor event logs — are **bit-identical** to the pre-caching
-    /// implementation. The default.
-    #[default]
-    CachedExact,
-    /// Sliding-DFT-style `O(bins)` accumulator update (one add and one
-    /// subtract per bin per tick), with an exact recompute every
-    /// `resync_every` ticks to bound floating-point drift. Opt-in:
-    /// spectra can differ from the batch path in the last few ulp
-    /// between resyncs (drift is bounded by tests in
-    /// [`psa_dsp::sliding`]).
-    Incremental {
-        /// Ticks between forced exact recomputes (≥ 1).
-        resync_every: usize,
-    },
-}
-
-impl SpectrumUpdate {
-    /// The DSP-layer mode implementing this policy.
-    fn mode(self) -> SlidingMode {
-        match self {
-            SpectrumUpdate::CachedExact => SlidingMode::Exact,
-            SpectrumUpdate::Incremental { resync_every } => {
-                SlidingMode::Incremental { resync_every }
-            }
-        }
-    }
-}
+use psa_dsp::sliding::SlidingSpectrum;
 
 /// Configuration of the sliding detector.
 ///
 /// The defaults coincide exactly with the batch
-/// [`mttd_trial`](crate::mttd::mttd_trial) comparison (5-record rolling
+/// [`mttd_trial_with`](crate::mttd::mttd_trial_with) comparison (5-record rolling
 /// window, 10 dB threshold, 8-bin baseline envelope, immediate clear,
 /// frozen baseline), which is what makes the batch path a thin adapter
 /// over this one.
@@ -77,10 +39,6 @@ pub struct SlidingConfig {
     /// absorbs slow operating-condition drift instead of alarming on
     /// it.
     pub recalibrate_after: Option<usize>,
-    /// How the window-averaged spectrum is maintained between ticks
-    /// (cached-row exact re-sum by default; opt-in `O(bins)`
-    /// incremental accumulator).
-    pub spectrum_update: SpectrumUpdate,
 }
 
 impl Default for SlidingConfig {
@@ -92,7 +50,6 @@ impl Default for SlidingConfig {
             envelope_half_window: 8,
             clear_after_quiet: 1,
             recalibrate_after: None,
-            spectrum_update: SpectrumUpdate::CachedExact,
         }
     }
 }
@@ -172,14 +129,6 @@ impl SlidingDetector {
                 what: "warm-fill minimum exceeds the rolling window depth",
             });
         }
-        if matches!(
-            config.spectrum_update,
-            SpectrumUpdate::Incremental { resync_every: 0 }
-        ) {
-            return Err(CoreError::InvalidParameter {
-                what: "incremental spectrum resync interval must be at least one tick",
-            });
-        }
         let lanes = sensors
             .iter()
             .map(|&sensor| {
@@ -194,10 +143,7 @@ impl SlidingDetector {
                     sensor,
                     window: TraceSet::default(),
                     fresh: TraceSet::default(),
-                    rows: SlidingSpectrum::new(
-                        config.window_records,
-                        config.spectrum_update.mode(),
-                    )?,
+                    rows: SlidingSpectrum::new(config.window_records)?,
                     base_env: peak::local_max_envelope(base, config.envelope_half_window),
                     alarmed: false,
                     quiet_ticks: 0,
@@ -283,9 +229,8 @@ impl SlidingDetector {
             });
         }
         // Window average from the cached rows — bit-identical to
-        // `ctx.fullres_spectrum_db(&lane.window)` in the default
-        // `CachedExact` mode (a regression test replays whole sessions
-        // against the full recompute).
+        // `ctx.fullres_spectrum_db(&lane.window)` (a regression test
+        // replays whole sessions against the full recompute).
         let spec = lane.rows.averaged_db()?;
         let hits = peak::excess_over_baseline_db(&spec, &lane.base_env, self.config.threshold_db);
 
@@ -383,24 +328,6 @@ mod tests {
         assert_eq!(c.envelope_half_window, 8);
         assert_eq!(c.clear_after_quiet, 1);
         assert_eq!(c.recalibrate_after, None);
-        assert_eq!(c.spectrum_update, SpectrumUpdate::CachedExact);
-    }
-
-    #[test]
-    fn rejects_zero_resync_interval() {
-        let baseline = Baseline {
-            per_sensor_db: vec![vec![0.0; 8]],
-        };
-        let bad = SlidingConfig {
-            spectrum_update: SpectrumUpdate::Incremental { resync_every: 0 },
-            ..SlidingConfig::default()
-        };
-        assert!(SlidingDetector::new(&baseline, &[0], bad).is_err());
-        let ok = SlidingConfig {
-            spectrum_update: SpectrumUpdate::Incremental { resync_every: 16 },
-            ..SlidingConfig::default()
-        };
-        assert!(SlidingDetector::new(&baseline, &[0], ok).is_ok());
     }
 
     #[test]

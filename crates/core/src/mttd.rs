@@ -52,38 +52,14 @@ pub struct MttdResult {
     pub sensor: usize,
 }
 
-/// Runs one MTTD trial: the Trojan activates at t = 0 and the monitor
-/// polls `sensor` with single traces, comparing each new averaged window
-/// against the baseline.
+/// Runs one MTTD trial on a reusable per-worker context: the Trojan
+/// activates at t = 0 and the monitor polls `sensor` with single
+/// traces, comparing each new averaged window against the baseline.
 ///
 /// `max_traces` bounds the trial (a non-detection returns
 /// `detected = false` with the full budget spent).
 ///
-/// # Errors
-///
-/// Propagates acquisition errors.
-pub fn mttd_trial(
-    chip: &TestChip,
-    scenario: &Scenario,
-    baseline: &Baseline,
-    sensor: usize,
-    timing: &MonitorTiming,
-    max_traces: usize,
-) -> Result<MttdResult, CoreError> {
-    mttd_trial_with(
-        &mut AcqContext::new(chip),
-        scenario,
-        baseline,
-        sensor,
-        timing,
-        max_traces,
-    )
-}
-
-/// [`mttd_trial`] on a reusable per-worker context (the campaign
-/// engine's path). Bit-identical to [`mttd_trial`].
-///
-/// This is now a **thin batch adapter over the streaming monitor**: the
+/// This is a **thin batch adapter over the streaming monitor**: the
 /// trial is a one-sensor [`Monitor`] session under a constant
 /// [`ActivationSchedule`] (Trojan active from record 0) with the
 /// batch-compatible [`SlidingConfig`] defaults — same per-record
@@ -185,12 +161,13 @@ pub fn mttd_campaign(
     trials: usize,
 ) -> Result<(f64, f64, f64), CoreError> {
     let timing = MonitorTiming::default();
+    let mut ctx = AcqContext::new(chip);
     let mut total_time = 0.0;
     let mut total_traces = 0.0;
     let mut detections = 0usize;
     for t in 0..trials {
         let scenario = scenario_for_seed(1000 + t as u64);
-        let r = mttd_trial(chip, &scenario, baseline, sensor, &timing, 64)?;
+        let r = mttd_trial_with(&mut ctx, &scenario, baseline, sensor, &timing, 64)?;
         if r.detected {
             detections += 1;
             total_time += r.time_to_detect_s;

@@ -17,9 +17,9 @@
 //! * [`batch`] — plan-once/run-many FFT and spectrum kernels with
 //!   reusable scratch buffers for the campaign engine's hot path
 //!   (bit-identical to the one-shot functions).
-//! * [`sliding`] — incrementally maintained sliding-window averaged
-//!   spectra for the streaming run-time monitor (exact cached-row mode
-//!   and an O(bins) accumulator mode with periodic resync).
+//! * [`sliding`] — sliding-window averaged spectra from cached
+//!   per-record rows for the streaming run-time monitor (bit-identical
+//!   to a full-window recompute).
 //! * [`window`] — Rectangular/Hann/Hamming/Blackman/Blackman-Harris/flat-top
 //!   analysis windows with gain bookkeeping.
 //! * [`spectrum`] — amplitude spectra, periodograms, Welch averaging, STFT,

@@ -9,8 +9,6 @@
 //!   flux `Φ = µ0·m·R²/(2(R²+h²)^{3/2})` decays like 1/R for large loops —
 //!   the *flux self-cancellation* that motivates the PSA over a single
 //!   whole-chip coil.
-//! * [`biot_savart`] — fields of straight wire segments (used for wire-
-//!   level checks and the probe models).
 //! * [`coupling`] — precomputed cluster→sensor coupling matrices.
 //! * [`emitter`] — on-demand coupling rows for placeable synthetic
 //!   emitters (the localization-accuracy atlas).
@@ -38,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod biot_savart;
 pub mod coupling;
 pub mod dipole;
 pub mod emitter;

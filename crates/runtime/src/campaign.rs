@@ -139,8 +139,9 @@ impl<'c> Campaign<'c> {
 
     /// Learns the 16-sensor run-time baseline in parallel (one job per
     /// sensor). Byte-identical to
-    /// [`psa_core::cross_domain::CrossDomainAnalyzer::learn_baseline`]
-    /// with the same seed, since each sensor's spectrum depends only on
+    /// [`psa_core::cross_domain::Baseline::learn_with`] with the default
+    /// analyzer configuration and the same seed, since each sensor's
+    /// spectrum depends only on
     /// `(seed, sensor)` — and template-free, so no worker pays for the
     /// identification reference library.
     pub fn learn_baseline(&self, seed: u64) -> Baseline {

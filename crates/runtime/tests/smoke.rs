@@ -1,8 +1,9 @@
 //! Crate smoke tests: the campaign engine against the real chip —
 //! parallel output must be byte-identical to serial output.
 
+use psa_core::acquisition::AcqContext;
 use psa_core::chip::{SensorSelect, TestChip};
-use psa_core::cross_domain::CrossDomainAnalyzer;
+use psa_core::cross_domain::{AnalyzerConfig, Baseline};
 use psa_core::scenario::Scenario;
 use psa_gatesim::trojan::TrojanKind;
 use psa_runtime::{AcquireJob, Campaign, Engine};
@@ -57,12 +58,15 @@ fn parallel_spectra_are_byte_identical_to_serial() {
 #[test]
 fn parallel_baseline_matches_core_serial_baseline() {
     // Campaign::learn_baseline fans sensors across workers; the result
-    // must be byte-identical to the analyzer's serial learning loop.
+    // must be byte-identical to the serial learning loop.
     let campaign = Campaign::new(chip(), Engine::new(4));
     let parallel = campaign.learn_baseline(0xB45E);
-    let serial = CrossDomainAnalyzer::new(chip())
-        .unwrap()
-        .learn_baseline(0xB45E);
+    let serial = Baseline::learn_with(
+        chip(),
+        &AnalyzerConfig::default(),
+        &mut AcqContext::new(chip()),
+        0xB45E,
+    );
     assert_eq!(parallel.per_sensor_db.len(), serial.per_sensor_db.len());
     for (p, s) in parallel.per_sensor_db.iter().zip(&serial.per_sensor_db) {
         assert!(p.iter().zip(s).all(|(a, b)| a.to_bits() == b.to_bits()));

@@ -11,8 +11,8 @@ fn main() {
     let coil = EuclideanDetector::single_coil(60);
     let back = BackscatterDetector::default();
     let dets: [&dyn Detector; 3] = [&probe, &coil, &back];
-    // One shared context: `detect` would allocate fresh scratch buffers
-    // for every one of the 24 attempts; `detect_with` recycles them.
+    // One shared context: `detect_with` recycles its scratch buffers
+    // across all 24 attempts.
     let mut ctx = AcqContext::new(&chip);
     for det in dets {
         print!("{}: ", det.name());

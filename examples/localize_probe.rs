@@ -1,16 +1,18 @@
 //! Full-pipeline probe: verdicts for every trojan.
+use psa_core::acquisition::AcqContext;
 use psa_core::chip::TestChip;
-use psa_core::cross_domain::CrossDomainAnalyzer;
+use psa_core::cross_domain::{Baseline, CrossDomainAnalyzer};
 use psa_core::scenario::Scenario;
 use psa_gatesim::trojan::TrojanKind;
 
 fn main() {
     let chip = TestChip::date24();
     let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
-    let baseline = analyzer.learn_baseline(42);
+    let mut ctx = AcqContext::new(&chip);
+    let baseline = Baseline::learn_with(&chip, analyzer.config(), &mut ctx, 42);
     // No-trojan control.
     let v = analyzer
-        .analyze(&Scenario::baseline().with_seed(77), &baseline)
+        .analyze_with(&mut ctx, &Scenario::baseline().with_seed(77), &baseline)
         .unwrap();
     println!(
         "control: detected={} top-energy={:.1}",
@@ -18,7 +20,8 @@ fn main() {
     );
     for kind in TrojanKind::ALL {
         let v = analyzer
-            .analyze(
+            .analyze_with(
+                &mut ctx,
                 &Scenario::trojan_active(kind).with_seed(101 + kind.index() as u64),
                 &baseline,
             )

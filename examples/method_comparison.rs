@@ -28,9 +28,8 @@ fn main() {
     let backscatter = BackscatterDetector::default();
     let detectors: [&dyn Detector; 4] = [&cross, &probe, &coil, &backscatter];
 
-    // One shared context across all 16 attempts (per the Detector
-    // contract, `detect` is one-shot-only: it allocates fresh scratch
-    // on every call).
+    // One shared context across all 16 attempts: its scratch buffers
+    // are recycled from one detection to the next.
     let mut ctx = AcqContext::new(&chip);
     println!();
     for det in detectors {

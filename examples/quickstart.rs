@@ -11,8 +11,9 @@
 //! external probes and single-coil sensors miss) and runs the paper's
 //! cross-domain analysis.
 
+use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::TestChip;
-use psa_repro::core::cross_domain::CrossDomainAnalyzer;
+use psa_repro::core::cross_domain::{Baseline, CrossDomainAnalyzer};
 use psa_repro::core::scenario::Scenario;
 use psa_repro::gatesim::trojan::TrojanKind;
 
@@ -20,13 +21,16 @@ fn main() {
     println!("building the simulated AES-128 test chip (placement + EM couplings)...");
     let chip = TestChip::date24();
     let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
+    // One reusable acquisition context carries every measurement below.
+    let mut ctx = AcqContext::new(&chip);
 
     println!("learning the run-time baseline (Trojans dormant, same chip)...");
-    let baseline = analyzer.learn_baseline(42);
+    let baseline = Baseline::learn_with(&chip, analyzer.config(), &mut ctx, 42);
 
     println!("activating T3 (CDMA key-leak Trojan, 1.14 % of cells) and analyzing...");
     let verdict = analyzer
-        .analyze(
+        .analyze_with(
+            &mut ctx,
             &Scenario::trojan_active(TrojanKind::T3).with_seed(7),
             &baseline,
         )

@@ -23,7 +23,7 @@
 //!   programming: the 16
 //!   presets plus arbitrary node-rectangle spirals
 //!   (`psa_array::program::CoilProgram`, loop-validated synthesis).
-//! * [`analog`] — op-amp, ADC, spectrum-analyzer and scope models.
+//! * [`analog`] — op-amp, ADC and spectrum-analyzer models.
 //! * [`core`] — the assembled chip, the cross-domain detection
 //!   pipeline, the streaming run-time monitor
 //!   (`psa_core::monitor`: activation schedules, sliding detection,
@@ -44,16 +44,19 @@
 //! # Quickstart
 //!
 //! ```no_run
+//! use psa_repro::core::acquisition::AcqContext;
 //! use psa_repro::core::chip::TestChip;
-//! use psa_repro::core::cross_domain::CrossDomainAnalyzer;
+//! use psa_repro::core::cross_domain::{Baseline, CrossDomainAnalyzer};
 //! use psa_repro::core::scenario::Scenario;
 //! use psa_repro::gatesim::trojan::TrojanKind;
 //!
 //! let chip = TestChip::date24();
+//! // One reusable acquisition context carries every call below.
+//! let mut ctx = AcqContext::new(&chip);
 //! let analyzer = CrossDomainAnalyzer::new(&chip).expect("reference template library");
-//! let baseline = analyzer.learn_baseline(42);
+//! let baseline = Baseline::learn_with(&chip, analyzer.config(), &mut ctx, 42);
 //! let verdict = analyzer
-//!     .analyze(&Scenario::trojan_active(TrojanKind::T3), &baseline)
+//!     .analyze_with(&mut ctx, &Scenario::trojan_active(TrojanKind::T3), &baseline)
 //!     .expect("analysis runs");
 //! assert!(verdict.detected);
 //! assert_eq!(verdict.localized_sensor, Some(10));

@@ -2,8 +2,9 @@
 //! assembled chip — detection, localization, identification, and the
 //! no-Trojan control, spanning every workspace crate.
 
+use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::TestChip;
-use psa_repro::core::cross_domain::{Baseline, CrossDomainAnalyzer};
+use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline, CrossDomainAnalyzer};
 use psa_repro::core::scenario::Scenario;
 use psa_repro::gatesim::trojan::TrojanKind;
 use std::sync::OnceLock;
@@ -15,14 +16,22 @@ fn chip() -> &'static TestChip {
 
 fn baseline() -> &'static Baseline {
     static BASE: OnceLock<Baseline> = OnceLock::new();
-    BASE.get_or_init(|| CrossDomainAnalyzer::new(chip()).unwrap().learn_baseline(42))
+    BASE.get_or_init(|| {
+        Baseline::learn_with(
+            chip(),
+            &AnalyzerConfig::default(),
+            &mut AcqContext::new(chip()),
+            42,
+        )
+    })
 }
 
 #[test]
 fn control_run_stays_quiet() {
     let analyzer = CrossDomainAnalyzer::new(chip()).unwrap();
+    let mut ctx = AcqContext::new(chip());
     let verdict = analyzer
-        .analyze(&Scenario::baseline().with_seed(777), baseline())
+        .analyze_with(&mut ctx, &Scenario::baseline().with_seed(777), baseline())
         .expect("analysis runs");
     assert!(!verdict.detected, "false positive on the control run");
     assert_eq!(verdict.localized_sensor, None);
@@ -32,8 +41,10 @@ fn control_run_stays_quiet() {
 #[test]
 fn t4_detected_localized_identified() {
     let analyzer = CrossDomainAnalyzer::new(chip()).unwrap();
+    let mut ctx = AcqContext::new(chip());
     let verdict = analyzer
-        .analyze(
+        .analyze_with(
+            &mut ctx,
             &Scenario::trojan_active(TrojanKind::T4).with_seed(104),
             baseline(),
         )
@@ -52,8 +63,10 @@ fn t4_detected_localized_identified() {
 fn small_trojan_t3_detected_and_localized() {
     // T3 is 1.14 % of the chip — the Trojan the baselines miss.
     let analyzer = CrossDomainAnalyzer::new(chip()).unwrap();
+    let mut ctx = AcqContext::new(chip());
     let verdict = analyzer
-        .analyze(
+        .analyze_with(
+            &mut ctx,
             &Scenario::trojan_active(TrojanKind::T3).with_seed(103),
             baseline(),
         )
@@ -66,9 +79,14 @@ fn small_trojan_t3_detected_and_localized() {
 #[test]
 fn t1_and_t2_verdicts() {
     let analyzer = CrossDomainAnalyzer::new(chip()).unwrap();
+    let mut ctx = AcqContext::new(chip());
     for (kind, seed) in [(TrojanKind::T1, 101u64), (TrojanKind::T2, 102)] {
         let verdict = analyzer
-            .analyze(&Scenario::trojan_active(kind).with_seed(seed), baseline())
+            .analyze_with(
+                &mut ctx,
+                &Scenario::trojan_active(kind).with_seed(seed),
+                baseline(),
+            )
             .expect("analysis runs");
         assert!(verdict.detected, "{kind} not detected");
         assert_eq!(verdict.localized_sensor, Some(10), "{kind} mislocalized");
@@ -79,8 +97,10 @@ fn t1_and_t2_verdicts() {
 #[test]
 fn localized_region_contains_the_trojan() {
     let analyzer = CrossDomainAnalyzer::new(chip()).unwrap();
+    let mut ctx = AcqContext::new(chip());
     let verdict = analyzer
-        .analyze(
+        .analyze_with(
+            &mut ctx,
             &Scenario::trojan_active(TrojanKind::T4).with_seed(200),
             baseline(),
         )
@@ -103,9 +123,10 @@ fn concurrent_trojans_still_detected_and_localized() {
     // active together. Both sit under sensor 10; the monitor must still
     // detect and localize (identification may report either culprit).
     let analyzer = CrossDomainAnalyzer::new(chip()).unwrap();
+    let mut ctx = AcqContext::new(chip());
     let scenario = Scenario::trojans_active(&[TrojanKind::T1, TrojanKind::T4]).with_seed(400);
     let verdict = analyzer
-        .analyze(&scenario, baseline())
+        .analyze_with(&mut ctx, &scenario, baseline())
         .expect("analysis runs");
     assert!(verdict.detected);
     assert_eq!(verdict.localized_sensor, Some(10));
@@ -119,8 +140,10 @@ fn ranking_contrast_sensor10_vs_sensor0() {
     // The Fig 4 contrast, end to end: sensor 10's anomaly amplitude beats
     // the empty corner's by a wide margin.
     let analyzer = CrossDomainAnalyzer::new(chip()).unwrap();
+    let mut ctx = AcqContext::new(chip());
     let verdict = analyzer
-        .analyze(
+        .analyze_with(
+            &mut ctx,
             &Scenario::trojan_active(TrojanKind::T1).with_seed(300),
             baseline(),
         )

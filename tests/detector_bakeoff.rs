@@ -7,7 +7,7 @@ use psa_repro::core::acquisition::AcqContext;
 use psa_repro::core::chip::TestChip;
 use psa_repro::core::detector::{
     BackscatterConfig, BackscatterDetector, CrossDomainDetector, Detector, EuclideanDetector,
-    ScoredDetector, SpectralKurtosisDetector,
+    SpectralKurtosisDetector,
 };
 use psa_repro::core::scenario::Scenario;
 use psa_repro::gatesim::trojan::TrojanKind;
@@ -120,7 +120,7 @@ fn cross_domain_score_paths_agree() {
 #[test]
 fn bakeoff_report_is_worker_count_invariant() {
     let (euclid, backscatter) = cheap_roster();
-    let dets: [&dyn ScoredDetector; 2] = [&euclid, &backscatter];
+    let dets: [&dyn Detector; 2] = [&euclid, &backscatter];
     let config = BakeoffConfig {
         seeds_per_scenario: 1,
         ..BakeoffConfig::default()

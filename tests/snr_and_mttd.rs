@@ -1,15 +1,15 @@
 //! Integration: the SNR procedure (Sec. VI-B) and the MTTD run-time
 //! loop (Sec. VI-D) against the paper's headline numbers — plus the
-//! streaming-monitor equivalences: the batch `mttd_trial` must be
+//! streaming-monitor equivalences: the batch `mttd_trial_with` must be
 //! bit-identical to the streaming path it now adapts, and monitor
 //! campaigns must be invariant under the worker count.
 
 use psa_repro::core::acquisition::{AcqContext, TraceSet};
 use psa_repro::core::calib;
 use psa_repro::core::chip::{SensorSelect, TestChip};
-use psa_repro::core::cross_domain::{Baseline, CrossDomainAnalyzer};
+use psa_repro::core::cross_domain::{AnalyzerConfig, Baseline};
 use psa_repro::core::monitor::{ActivationSchedule, ScheduleChange, SlidingConfig};
-use psa_repro::core::mttd::{mttd_campaign, mttd_trial, mttd_trial_scheduled, MonitorTiming};
+use psa_repro::core::mttd::{mttd_campaign, mttd_trial_scheduled, mttd_trial_with, MonitorTiming};
 use psa_repro::core::scenario::Scenario;
 use psa_repro::core::snr;
 use psa_repro::dsp::peak;
@@ -25,9 +25,12 @@ fn chip() -> &'static TestChip {
 fn baseline() -> &'static Baseline {
     static BASELINE: OnceLock<Baseline> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        CrossDomainAnalyzer::new(chip())
-            .unwrap()
-            .learn_baseline(0xBA5E)
+        Baseline::learn_with(
+            chip(),
+            &AnalyzerConfig::default(),
+            &mut AcqContext::new(chip()),
+            0xBA5E,
+        )
     })
 }
 
@@ -56,9 +59,11 @@ fn snr_values_land_in_paper_regime() {
 #[test]
 fn mttd_under_10ms_with_under_10_traces() {
     let timing = MonitorTiming::default();
+    let mut ctx = AcqContext::new(chip());
     for kind in [TrojanKind::T4, TrojanKind::T3] {
         let scenario = Scenario::trojan_active(kind).with_seed(900);
-        let r = mttd_trial(chip(), &scenario, baseline(), 10, &timing, 64).expect("trial runs");
+        let r =
+            mttd_trial_with(&mut ctx, &scenario, baseline(), 10, &timing, 64).expect("trial runs");
         assert!(r.detected, "{kind} undetected");
         assert!(
             r.time_to_detect_s < 10.0e-3,
@@ -72,8 +77,8 @@ fn mttd_under_10ms_with_under_10_traces() {
 #[test]
 fn no_trojan_monitor_does_not_false_alarm() {
     let timing = MonitorTiming::default();
-    let r = mttd_trial(
-        chip(),
+    let r = mttd_trial_with(
+        &mut AcqContext::new(chip()),
         &Scenario::baseline().with_seed(901),
         baseline(),
         10,
@@ -139,8 +144,9 @@ fn streaming_mttd_is_bit_identical_to_batch_replay() {
         (Scenario::trojan_active(TrojanKind::T4).with_seed(910), 6),
         (Scenario::baseline().with_seed(911), 4),
     ];
+    let mut ctx = AcqContext::new(chip());
     for (scenario, max_traces) in cases {
-        let r = mttd_trial(chip(), &scenario, baseline(), 10, &timing, max_traces)
+        let r = mttd_trial_with(&mut ctx, &scenario, baseline(), 10, &timing, max_traces)
             .expect("streaming trial");
         let (detected, elapsed, traces) = batch_replay_reference(
             &scenario,

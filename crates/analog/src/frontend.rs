@@ -20,7 +20,8 @@ use psa_field::noise::GaussianNoise;
 ///
 /// let fe = AnalogFrontEnd::date24(42);
 /// let v = vec![1.0e-5; 4096];
-/// let out = fe.capture(&v, 264.0e6, 0.0)?;
+/// let mut out = Vec::new();
+/// fe.capture_record_into(&v, 264.0e6, 0.0, 0, &mut out)?;
 /// assert_eq!(out.len(), 4096);
 /// # Ok::<(), psa_analog::AnalogError>(())
 /// ```
@@ -56,52 +57,18 @@ impl AnalogFrontEnd {
         &self.adc
     }
 
-    /// Captures one record: adds sensor-referred noise
-    /// (`sensor_noise_vrms`, from the probe model) and amplifier input
-    /// noise, amplifies, and quantizes. Deterministic per
-    /// `(seed, record_index)`.
+    /// Captures one record into a caller-owned buffer (cleared first):
+    /// adds sensor-referred noise (`sensor_noise_vrms`, from the probe
+    /// model) and amplifier input noise, amplifies, and quantizes, all in
+    /// that one buffer, so a per-worker acquisition context performs zero
+    /// allocations per record after warm-up. Deterministic per
+    /// `(seed, record_index)`, so repeated acquisitions see fresh (yet
+    /// reproducible) noise.
     ///
     /// # Errors
     ///
     /// Returns [`AnalogError::EmptyInput`] for an empty record or
     /// [`AnalogError::InvalidParameter`] for a non-positive sample rate.
-    pub fn capture(
-        &self,
-        sensor_v: &[f64],
-        fs_hz: f64,
-        sensor_noise_vrms: f64,
-    ) -> Result<Vec<f64>, AnalogError> {
-        self.capture_record(sensor_v, fs_hz, sensor_noise_vrms, 0)
-    }
-
-    /// Like [`capture`](Self::capture) but with an explicit record index
-    /// so repeated acquisitions see fresh (yet reproducible) noise.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`capture`](Self::capture).
-    pub fn capture_record(
-        &self,
-        sensor_v: &[f64],
-        fs_hz: f64,
-        sensor_noise_vrms: f64,
-        record_index: u64,
-    ) -> Result<Vec<f64>, AnalogError> {
-        let mut out = Vec::new();
-        self.capture_record_into(sensor_v, fs_hz, sensor_noise_vrms, record_index, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`capture_record`](Self::capture_record) into a caller-owned
-    /// buffer (cleared first): the noise add, amplification, and
-    /// quantization all run in that one buffer, so a per-worker
-    /// acquisition context performs zero allocations per record after
-    /// warm-up. Bit-identical to
-    /// [`capture_record`](Self::capture_record).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`capture`](Self::capture).
     pub fn capture_record_into(
         &self,
         sensor_v: &[f64],
@@ -140,6 +107,12 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
+    fn record(fe: &AnalogFrontEnd, x: &[f64], fs: f64, noise: f64, idx: u64) -> Vec<f64> {
+        let mut out = Vec::new();
+        fe.capture_record_into(x, fs, noise, idx, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn chain_amplifies_tone() {
         // Project the output onto the tone phasor (Goertzel-style) so
@@ -152,7 +125,7 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| a_in * (2.0 * PI * f0 * i as f64 / fs).sin())
             .collect();
-        let y = fe.capture(&x, fs, 0.0).unwrap();
+        let y = record(&fe, &x, fs, 0.0, 0);
         let mut re = 0.0;
         let mut im = 0.0;
         for (i, &v) in y.iter().enumerate().skip(n / 4) {
@@ -174,7 +147,7 @@ mod tests {
     fn noise_floor_present_with_zero_signal() {
         let fe = AnalogFrontEnd::date24(2);
         let x = vec![0.0; 8192];
-        let y = fe.capture(&x, 264.0e6, 1.0e-5).unwrap();
+        let y = record(&fe, &x, 264.0e6, 1.0e-5, 0);
         let rms = (y.iter().map(|v| v * v).sum::<f64>() / y.len() as f64).sqrt();
         assert!(rms > 0.0, "noise must appear at the output");
     }
@@ -183,9 +156,9 @@ mod tests {
     fn records_differ_but_are_reproducible() {
         let fe = AnalogFrontEnd::date24(3);
         let x = vec![0.0; 1024];
-        let a = fe.capture_record(&x, 264.0e6, 1e-5, 0).unwrap();
-        let b = fe.capture_record(&x, 264.0e6, 1e-5, 1).unwrap();
-        let a2 = fe.capture_record(&x, 264.0e6, 1e-5, 0).unwrap();
+        let a = record(&fe, &x, 264.0e6, 1e-5, 0);
+        let b = record(&fe, &x, 264.0e6, 1e-5, 1);
+        let a2 = record(&fe, &x, 264.0e6, 1e-5, 0);
         assert_ne!(a, b);
         assert_eq!(a, a2);
     }
@@ -193,19 +166,24 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let fe = AnalogFrontEnd::date24(4);
-        assert!(fe.capture(&[], 264.0e6, 0.0).is_err());
-        assert!(fe.capture(&[0.0], 0.0, 0.0).is_err());
+        let mut out = Vec::new();
+        assert!(fe
+            .capture_record_into(&[], 264.0e6, 0.0, 0, &mut out)
+            .is_err());
+        assert!(fe
+            .capture_record_into(&[0.0], 0.0, 0.0, 0, &mut out)
+            .is_err());
     }
 
     #[test]
-    fn capture_into_reuses_buffer_and_matches() {
+    fn capture_into_reuses_buffer() {
         let fe = AnalogFrontEnd::date24(6);
         let x: Vec<f64> = (0..2048).map(|i| 1e-4 * (i as f64 * 0.03).sin()).collect();
-        let mut buf = Vec::new();
+        let mut buf = vec![7.7; 999]; // stale contents must not leak through
         for idx in 0..3u64 {
             fe.capture_record_into(&x, 264.0e6, 1e-5, idx, &mut buf)
                 .unwrap();
-            let fresh = fe.capture_record(&x, 264.0e6, 1e-5, idx).unwrap();
+            let fresh = record(&fe, &x, 264.0e6, 1e-5, idx);
             assert_eq!(buf, fresh, "record {idx}");
         }
         assert!(fe
@@ -217,7 +195,7 @@ mod tests {
     fn output_is_quantized() {
         let fe = AnalogFrontEnd::date24(5);
         let x: Vec<f64> = (0..512).map(|i| 1e-4 * (i as f64 * 0.05).sin()).collect();
-        let y = fe.capture(&x, 264.0e6, 0.0).unwrap();
+        let y = record(&fe, &x, 264.0e6, 0.0, 0);
         let lsb = fe.adc().lsb();
         for v in y {
             let steps = v / lsb;

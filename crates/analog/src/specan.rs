@@ -10,7 +10,7 @@
 
 use crate::error::AnalogError;
 use psa_dsp::batch::SpectrumScratch;
-use psa_dsp::spectrum::{self, DB_FLOOR};
+use psa_dsp::spectrum;
 use psa_dsp::window::Window;
 use psa_dsp::zero_span::ZeroSpan;
 
@@ -37,34 +37,23 @@ impl SpectrumAnalyzer {
         }
     }
 
-    /// One magnitude trace in dB: windowed FFT of `record` (sampled at
-    /// `fs_hz`), truncated to the span and resampled to
-    /// [`trace_points`](Self::trace_points) points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::EmptyInput`] for an empty record or
-    /// [`AnalogError::InvalidParameter`] when the span exceeds Nyquist.
-    pub fn trace_db(&self, record: &[f64], fs_hz: f64) -> Result<Vec<f64>, AnalogError> {
-        let mut scratch = self.scratch();
-        self.trace_db_with(&mut scratch, record, fs_hz)
-    }
-
     /// A reusable spectrum scratch matched to this analyzer's window,
     /// for the `_with` trace methods.
     pub fn scratch(&self) -> SpectrumScratch {
         SpectrumScratch::new(self.window)
     }
 
-    /// [`trace_db`](Self::trace_db) using a caller-owned
-    /// [`SpectrumScratch`] so repeated traces reuse the window
-    /// coefficients, FFT twiddles, and work buffers. Bit-identical to
-    /// [`trace_db`](Self::trace_db).
+    /// One magnitude trace in dB: windowed FFT of `record` (sampled at
+    /// `fs_hz`), truncated to the span and resampled to
+    /// [`trace_points`](Self::trace_points) points. The caller-owned
+    /// [`SpectrumScratch`] lets repeated traces reuse the window
+    /// coefficients, FFT twiddles, and work buffers.
     ///
     /// # Errors
     ///
-    /// Same as [`trace_db`](Self::trace_db); additionally rejects a
-    /// scratch built for a different window.
+    /// Returns [`AnalogError::EmptyInput`] for an empty record,
+    /// [`AnalogError::InvalidParameter`] when the span exceeds Nyquist or
+    /// the scratch was built for a different window.
     pub fn trace_db_with(
         &self,
         scratch: &mut SpectrumScratch,
@@ -94,29 +83,13 @@ impl SpectrumAnalyzer {
 
     /// Averages several records into one displayed trace (the paper
     /// averages five), in dB. Averaging happens in linear amplitude, as
-    /// the instrument's trace-average mode does.
+    /// the instrument's trace-average mode does; the per-record
+    /// window/FFT work reuses the scratch buffers.
     ///
     /// # Errors
     ///
-    /// Same as [`trace_db`](Self::trace_db); additionally
+    /// Same as [`trace_db_with`](Self::trace_db_with); additionally
     /// [`AnalogError::EmptyInput`] when `records` is empty.
-    pub fn averaged_trace_db(
-        &self,
-        records: &[Vec<f64>],
-        fs_hz: f64,
-    ) -> Result<Vec<f64>, AnalogError> {
-        let mut scratch = self.scratch();
-        self.averaged_trace_db_with(&mut scratch, records, fs_hz)
-    }
-
-    /// [`averaged_trace_db`](Self::averaged_trace_db) using a
-    /// caller-owned [`SpectrumScratch`]; the per-record window/FFT work
-    /// reuses the scratch buffers. Bit-identical to
-    /// [`averaged_trace_db`](Self::averaged_trace_db).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`averaged_trace_db`](Self::averaged_trace_db).
     pub fn averaged_trace_db_with(
         &self,
         scratch: &mut SpectrumScratch,
@@ -149,11 +122,6 @@ impl SpectrumAnalyzer {
             .into_iter()
             .map(|a| spectrum::amplitude_db(a / k))
             .collect())
-    }
-
-    /// Frequency (Hz) of trace point `i`.
-    pub fn point_freq_hz(&self, i: usize) -> f64 {
-        self.span_hz * i as f64 / (self.trace_points - 1) as f64
     }
 
     /// Closest trace point to a frequency.
@@ -196,11 +164,6 @@ impl SpectrumAnalyzer {
         let zs = ZeroSpan::with_rbw(center_hz, fs_hz, rbw_hz)?;
         Ok(zs.envelope_trimmed(record)?)
     }
-
-    /// The dB floor used for silent traces.
-    pub fn db_floor(&self) -> f64 {
-        DB_FLOOR
-    }
 }
 
 impl Default for SpectrumAnalyzer {
@@ -240,6 +203,10 @@ mod tests {
 
     const FS: f64 = 264.0e6;
 
+    fn trace(sa: &SpectrumAnalyzer, record: &[f64]) -> Vec<f64> {
+        sa.trace_db_with(&mut sa.scratch(), record, FS).unwrap()
+    }
+
     fn tone(n: usize, f0: f64, amp: f64) -> Vec<f64> {
         (0..n)
             .map(|i| amp * (2.0 * PI * f0 * i as f64 / FS).sin())
@@ -249,14 +216,14 @@ mod tests {
     #[test]
     fn trace_has_2000_points() {
         let sa = SpectrumAnalyzer::date24();
-        let t = sa.trace_db(&tone(8192, 48.0e6, 1.0), FS).unwrap();
+        let t = trace(&sa, &tone(8192, 48.0e6, 1.0));
         assert_eq!(t.len(), 2000);
     }
 
     #[test]
     fn tone_appears_at_correct_point() {
         let sa = SpectrumAnalyzer::date24();
-        let t = sa.trace_db(&tone(16384, 48.0e6, 0.5), FS).unwrap();
+        let t = trace(&sa, &tone(16384, 48.0e6, 0.5));
         let peak = t
             .iter()
             .enumerate()
@@ -273,15 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn point_freq_roundtrip() {
-        let sa = SpectrumAnalyzer::date24();
-        for f in [0.0, 33.0e6, 48.0e6, 84.0e6, 120.0e6] {
-            let p = sa.freq_point(f);
-            assert!((sa.point_freq_hz(p) - f).abs() < sa.span_hz / 1999.0);
-        }
-    }
-
-    #[test]
     fn averaging_reduces_trace_noise() {
         let sa = SpectrumAnalyzer::date24();
         let mut state = 1u64;
@@ -294,8 +252,10 @@ mod tests {
             let r: Vec<f64> = (0..4096).map(|_| 1e-3 * lcg()).collect();
             records.push(r);
         }
-        let avg = sa.averaged_trace_db(&records, FS).unwrap();
-        let single = sa.trace_db(&records[0], FS).unwrap();
+        let avg = sa
+            .averaged_trace_db_with(&mut sa.scratch(), &records, FS)
+            .unwrap();
+        let single = trace(&sa, &records[0]);
         let var = |v: &[f64]| {
             let m = v.iter().sum::<f64>() / v.len() as f64;
             v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / v.len() as f64
@@ -323,15 +283,16 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let sa = SpectrumAnalyzer::date24();
-        assert!(sa.trace_db(&[], FS).is_err());
-        assert!(sa.trace_db(&[0.0; 64], 100.0e6).is_err()); // span > nyquist
-        assert!(sa.averaged_trace_db(&[], FS).is_err());
+        let mut scratch = sa.scratch();
+        assert!(sa.trace_db_with(&mut scratch, &[], FS).is_err());
+        assert!(sa.trace_db_with(&mut scratch, &[0.0; 64], 100.0e6).is_err()); // span > nyquist
+        assert!(sa.averaged_trace_db_with(&mut scratch, &[], FS).is_err());
         let mut wrong = SpectrumScratch::new(Window::Hann);
         assert!(sa.trace_db_with(&mut wrong, &[0.0; 64], FS).is_err());
     }
 
     #[test]
-    fn scratch_paths_match_oneshot_bitwise() {
+    fn results_do_not_depend_on_scratch_history() {
         let sa = SpectrumAnalyzer::date24();
         let records: Vec<Vec<f64>> = (0..3)
             .map(|k| tone(4096, 48.0e6, 0.5 + 0.1 * k as f64))
@@ -341,11 +302,13 @@ mod tests {
         // depend on scratch history.
         let _ = sa.trace_db_with(&mut scratch, &records[1], FS).unwrap();
         for r in &records {
-            let a = sa.trace_db(r, FS).unwrap();
+            let a = trace(&sa, r);
             let b = sa.trace_db_with(&mut scratch, r, FS).unwrap();
             assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
-        let a = sa.averaged_trace_db(&records, FS).unwrap();
+        let a = sa
+            .averaged_trace_db_with(&mut sa.scratch(), &records, FS)
+            .unwrap();
         let b = sa
             .averaged_trace_db_with(&mut scratch, &records, FS)
             .unwrap();

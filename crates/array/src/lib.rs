@@ -33,7 +33,9 @@
 //! // Sensors overlap their neighbours by about a third of their area.
 //! let s0 = bank.sensor(0).unwrap();
 //! let s1 = bank.sensor(1).unwrap();
-//! let overlap = s0.footprint().intersection(&s1.footprint()).unwrap().area();
+//! let (a, b) = (s0.footprint(), s1.footprint());
+//! // Horizontal neighbours share their y span.
+//! let overlap = (a.max().x.min(b.max().x) - a.min().x.max(b.min().x)) * a.height();
 //! assert!((overlap / s0.footprint().area() - 0.33).abs() < 0.05);
 //! ```
 

@@ -16,8 +16,6 @@ use psa_layout::Rect;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sensor {
     index: usize,
-    row: usize,
-    col: usize,
     channel: u8,
     footprint: Rect,
     coil: Coil,
@@ -27,11 +25,6 @@ impl Sensor {
     /// Sensor index 0–15 (row-major from the die's lower-left).
     pub fn index(&self) -> usize {
         self.index
-    }
-
-    /// Grid position `(row, col)` in the 4×4 arrangement.
-    pub fn grid_pos(&self) -> (usize, usize) {
-        (self.row, self.col)
     }
 
     /// The differential output channel (1–4) this sensor drives; all
@@ -59,7 +52,7 @@ impl Sensor {
 /// use psa_array::sensors::SensorBank;
 /// let bank = SensorBank::date24_default();
 /// let s10 = bank.sensor(10).unwrap();
-/// assert_eq!(s10.grid_pos(), (2, 2));
+/// // Row 2 of the 4×4 grid drives the third output channel.
 /// assert_eq!(s10.channel(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -91,8 +84,6 @@ impl SensorBank {
             let p1 = lattice.node_position(r1, c1)?;
             sensors.push(Sensor {
                 index: i,
-                row: i / 4,
-                col: i % 4,
                 channel: (i / 4) as u8 + 1,
                 footprint: Rect::new(p0.x, p0.y, p1.x, p1.y),
                 coil,
@@ -132,18 +123,6 @@ impl SensorBank {
     pub fn iter(&self) -> impl Iterator<Item = &Sensor> {
         self.sensors.iter()
     }
-
-    /// The sensor whose footprint centre is closest to a point — the
-    /// inverse lookup used when reporting a localization verdict.
-    pub fn nearest_sensor(&self, x_um: f64, y_um: f64) -> Option<&Sensor> {
-        self.sensors.iter().min_by(|a, b| {
-            let da =
-                (a.footprint.center().x - x_um).powi(2) + (a.footprint.center().y - y_um).powi(2);
-            let db =
-                (b.footprint.center().x - x_um).powi(2) + (b.footprint.center().y - y_um).powi(2);
-            da.total_cmp(&db)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +136,6 @@ mod tests {
         assert!(!bank.is_empty());
         for (i, s) in bank.iter().enumerate() {
             assert_eq!(s.index(), i);
-            assert_eq!(s.grid_pos(), (i / 4, i % 4));
         }
     }
 
@@ -165,7 +143,7 @@ mod tests {
     fn channels_shared_per_row() {
         let bank = SensorBank::date24_default();
         for s in bank.iter() {
-            assert_eq!(s.channel() as usize, s.grid_pos().0 + 1);
+            assert_eq!(s.channel() as usize, s.index() / 4 + 1);
         }
         // Row 0 → channel 1 for sensors 0-3; row 3 → channel 4.
         assert_eq!(bank.sensor(0).unwrap().channel(), 1);
@@ -178,7 +156,8 @@ mod tests {
         let bank = SensorBank::date24_default();
         let a = bank.sensor(5).unwrap().footprint();
         let b = bank.sensor(6).unwrap().footprint();
-        let overlap = a.intersection(&b).expect("neighbours overlap").area();
+        // Horizontal neighbours share their y span.
+        let overlap = (a.max().x.min(b.max().x) - a.min().x.max(b.min().x)) * a.height();
         let frac = overlap / a.area();
         assert!((frac - 1.0 / 3.0).abs() < 0.02, "overlap fraction {frac}");
     }
@@ -240,14 +219,5 @@ mod tests {
     fn out_of_range_rejected() {
         let bank = SensorBank::date24_default();
         assert!(bank.sensor(16).is_err());
-    }
-
-    #[test]
-    fn nearest_sensor_lookup() {
-        let bank = SensorBank::date24_default();
-        let near_10 = bank.nearest_sensor(620.0, 620.0).unwrap();
-        assert_eq!(near_10.index(), 10);
-        let near_0 = bank.nearest_sensor(10.0, 10.0).unwrap();
-        assert_eq!(near_0.index(), 0);
     }
 }

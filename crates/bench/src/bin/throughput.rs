@@ -1,7 +1,6 @@
-//! Per-stage hot-path throughput in records/sec: acquisition, spectral
-//! transforms (historical complex FFT vs the packed real-input FFT),
-//! the production spectrum pipeline, monitor ticks, and an
-//! engine-parallel campaign stage.
+//! Per-stage hot-path throughput in records/sec: acquisition, the
+//! packed real-input FFT, the production spectrum pipeline, monitor
+//! ticks, and an engine-parallel campaign stage.
 //!
 //! ```text
 //! throughput [--jobs N] [--bench-json [PATH]]
@@ -78,22 +77,10 @@ fn main() {
         digest(&acquire_rms)
     );
 
-    // Stages 2–3: the transform the tentpole halved, old vs new on the
-    // same windowed record — full complex spectrum via `fft::rfft`
-    // (historical path) against the packed one-sided real-input FFT.
+    // Stage 2: the packed one-sided real-input FFT of one windowed
+    // record.
     let windowed = Window::Hann.applied(&traces.records[0]);
     let mut last_bin = Vec::new();
-    timer.time("fft_complex", n_transform as u64, || {
-        for _ in 0..n_transform {
-            let spec = psa_dsp::fft::rfft(&windowed).expect("pow2 record");
-            last_bin.push(spec[spec.len() / 4].re);
-        }
-    });
-    println!(
-        "stage fft_complex: {n_transform} records, digest {}",
-        digest(&last_bin)
-    );
-    last_bin.clear();
     timer.time("fft_real", n_transform as u64, || {
         for _ in 0..n_transform {
             let spec = psa_dsp::rfft::rfft_one_sided(&windowed).expect("pow2 record");
@@ -105,7 +92,7 @@ fn main() {
         digest(&last_bin)
     );
 
-    // Stage 4: the production per-record spectrum pipeline (window +
+    // Stage 3: the production per-record spectrum pipeline (window +
     // packed FFT + amplitude scaling through cached scratch buffers).
     let mut peaks = Vec::new();
     timer.time("spectrum", n_transform as u64, || {
@@ -122,7 +109,7 @@ fn main() {
         digest(&peaks)
     );
 
-    // Stage 5: streaming monitor ticks — acquisition plus the sliding
+    // Stage 4: streaming monitor ticks — acquisition plus the sliding
     // cached-row spectrum update and threshold compare, per tick.
     let baseline = one_sensor_baseline(&mut ctx);
     let stream = StreamSource::new(
@@ -151,36 +138,7 @@ fn main() {
         digest(&alarm_records)
     );
 
-    // Stage 5b: the pre-sliding-window monitor spectrum path — pull a
-    // record, then re-transform the whole K-record ring — kept
-    // measurable so the cached-row win stays an observed number rather
-    // than a claim.
-    let depth = detector.config().window_records;
-    let mut ring = TraceSet::default();
-    let mut fresh = TraceSet::default();
-    let mut mid_bins = Vec::new();
-    timer.time("monitor_fullring", n_ticks as u64, || {
-        for record in 0..stream.horizon() {
-            let scenario = stream.schedule().scenario_at(record);
-            stream
-                .pull_scenario_into(&mut ctx, &scenario, SENSOR, &mut fresh)
-                .expect("monitor pull");
-            ring.fs_hz = fresh.fs_hz;
-            ring.sensor = fresh.sensor;
-            ring.records.push(fresh.records[0].clone());
-            if ring.records.len() > depth {
-                ring.records.remove(0);
-            }
-            let spec = ctx.fullres_spectrum_db(&ring).expect("ring spectrum");
-            mid_bins.push(spec[spec.len() / 2]);
-        }
-    });
-    println!(
-        "stage monitor_fullring: {n_ticks} records, digest {}",
-        digest(&mid_bins)
-    );
-
-    // Stage 6: engine-parallel acquisition — one record per job across
+    // Stage 5: engine-parallel acquisition — one record per job across
     // distinct scenario seeds, reduced in submission order so stdout is
     // byte-identical at any worker count.
     let campaign = Campaign::new(&chip, engine);

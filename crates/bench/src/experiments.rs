@@ -17,7 +17,7 @@ use psa_core::monitor::{ActivationSchedule, ScheduleChange, SlidingConfig};
 use psa_core::mttd::{mttd_trial_with, MonitorTiming};
 use psa_core::multiloc::MultiLocConfig;
 use psa_core::progsearch::{DetectionSnr, ProgramSearchConfig, SearchObjective};
-use psa_core::report::{db, mhz, pct, sparkline, yes_no, Table};
+use psa_core::report::{db, pct, sparkline, yes_no, Table};
 use psa_core::scenario::Scenario;
 use psa_core::snr::measure_snr_with;
 use psa_core::{calib, identify};
@@ -1517,11 +1517,6 @@ pub fn trojan_kinds_from_cli(args: &[String]) -> Vec<TrojanKind> {
         };
     }
     TrojanKind::ALL.to_vec()
-}
-
-/// Convenience for the `mhz` formatter used by binaries.
-pub fn format_freq(hz: f64) -> String {
-    mhz(hz)
 }
 
 /// Quick feature-extraction helper for benches.

@@ -102,7 +102,9 @@ pub enum Verdict {
     Skipped,
     /// Artifact present in the seed but absent from the current run.
     Missing,
-    /// Current wall time exceeds `max_ratio ×` seed.
+    /// Current wall time exceeds `max_ratio ×` seed (current rate
+    /// below seed / `max_ratio`), or the current measurement is broken:
+    /// NaN, infinite or negative.
     Regressed,
     /// Artifact present in the current run but absent from the seed —
     /// an ungated stage that would silently escape the trajectory; the
@@ -127,7 +129,9 @@ pub struct Comparison {
 /// Compares `current` against `seed`: every seed artifact with wall
 /// time ≥ `min_seed_s` must exist in `current` and run within
 /// `max_ratio ×` its seed time, and every non-trivial current artifact
-/// must have a seed counterpart (no stage rides along ungated).
+/// must have a seed counterpart (no stage rides along ungated). A
+/// broken current wall time (NaN, infinite or negative) on a gated or
+/// unseeded artifact is [`Verdict::Regressed`].
 pub fn compare(
     seed: &BenchJson,
     current: &BenchJson,
@@ -149,7 +153,7 @@ pub fn compare(
             let verdict = match current_s {
                 _ if *seed_s < min_seed_s => Verdict::Skipped,
                 None => Verdict::Missing,
-                Some(cur) if cur > seed_s * max_ratio => Verdict::Regressed,
+                Some(cur) if broken(cur) || cur > seed_s * max_ratio => Verdict::Regressed,
                 Some(_) => Verdict::Ok,
             };
             Comparison {
@@ -171,7 +175,9 @@ pub fn compare(
         // the skip on — only this run's jittery measurement. Demand a
         // clear margin under the floor so a stage that hovers *at* the
         // floor fails consistently instead of flapping run to run.
-        let verdict = if *current_s < min_seed_s / 2.0 {
+        let verdict = if broken(*current_s) {
+            Verdict::Regressed
+        } else if *current_s < min_seed_s / 2.0 {
             Verdict::Skipped
         } else {
             Verdict::Unseeded
@@ -190,7 +196,9 @@ pub fn compare(
 /// higher-is-better, so an artifact regresses when its current rate
 /// drops below `seed / max_ratio`. Every finite, positive seed rate
 /// must exist in `current`; a degenerate seed rate (zero, negative, or
-/// non-finite — a bad seed measurement) is skipped rather than gated.
+/// non-finite — a bad seed measurement) is skipped rather than gated,
+/// while a broken current rate (NaN, infinite or negative) against a
+/// gated seed is [`Verdict::Regressed`].
 /// Current-side rates without a seed counterpart fail as
 /// [`Verdict::Unseeded`] unconditionally — unlike wall times there is
 /// no "trivial" rate, so a new stage can never ride along ungated.
@@ -208,7 +216,7 @@ pub fn compare_rates(seed: &BenchJson, current: &BenchJson, max_ratio: f64) -> V
             let verdict = match current_rate {
                 _ if !(*seed_rate > 0.0 && seed_rate.is_finite()) => Verdict::Skipped,
                 None => Verdict::Missing,
-                Some(cur) if cur < seed_rate / max_ratio => Verdict::Regressed,
+                Some(cur) if broken(cur) || cur < seed_rate / max_ratio => Verdict::Regressed,
                 Some(_) => Verdict::Ok,
             };
             Comparison {
@@ -233,6 +241,13 @@ pub fn compare_rates(seed: &BenchJson, current: &BenchJson, max_ratio: f64) -> V
         });
     }
     comparisons
+}
+
+/// A current-side measurement no real run produces — NaN, infinite or
+/// negative. Every ordered comparison against NaN is false, so without
+/// this check a NaN wall time or rate would pass its gate.
+fn broken(x: f64) -> bool {
+    !(x.is_finite() && x >= 0.0)
 }
 
 /// Renders the [`compare_rates`] table plus a pass/fail tail line; the
@@ -529,6 +544,61 @@ mod tests {
         assert_eq!(cmp[0].verdict, Verdict::Skipped);
         assert_eq!(cmp[1].verdict, Verdict::Ok);
         assert!(render_rate_report(&cmp, 2.5).1);
+    }
+
+    #[test]
+    fn broken_current_wall_times_regress() {
+        // NaN compares false against every bound, so without an explicit
+        // check it would sail through as Ok.
+        let seed = doc(&[("table1", 1.0), ("fig3", 2.0), ("fig5", 3.0)]);
+        let current = doc(&[
+            ("table1", f64::NAN),
+            ("fig3", f64::INFINITY),
+            ("fig5", -1.0),
+        ]);
+        let cmp = compare(&seed, &current, 2.5, 0.05);
+        assert!(
+            cmp.iter().all(|c| c.verdict == Verdict::Regressed),
+            "{cmp:?}"
+        );
+        assert!(!render_report(&cmp, 2.5).1);
+        // A broken unseeded artifact fails too instead of passing as
+        // "trivial".
+        let current = doc(&[("table1", 1.0), ("new", -0.5)]);
+        let cmp = compare(&doc(&[("table1", 1.0)]), &current, 2.5, 0.05);
+        assert_eq!(cmp[1].verdict, Verdict::Regressed);
+        // The seed-side noise floor still skips, whatever the current
+        // value.
+        let cmp = compare(
+            &doc(&[("tiny", 0.001)]),
+            &doc(&[("tiny", f64::NAN)]),
+            2.5,
+            0.05,
+        );
+        assert_eq!(cmp[0].verdict, Verdict::Skipped);
+    }
+
+    #[test]
+    fn broken_current_rates_regress() {
+        let seed = rate_doc(&[("acquire", 100.0), ("rfft", 1000.0), ("monitor", 50.0)]);
+        let current = rate_doc(&[
+            ("acquire", f64::NAN),
+            ("rfft", -1.0),
+            ("monitor", f64::INFINITY),
+        ]);
+        let cmp = compare_rates(&seed, &current, 2.5);
+        assert!(
+            cmp.iter().all(|c| c.verdict == Verdict::Regressed),
+            "{cmp:?}"
+        );
+        assert!(!render_rate_report(&cmp, 2.5).1);
+        // A degenerate seed rate is still skipped, not gated.
+        let cmp = compare_rates(
+            &rate_doc(&[("broken", 0.0)]),
+            &rate_doc(&[("broken", f64::NAN)]),
+            2.5,
+        );
+        assert_eq!(cmp[0].verdict, Verdict::Skipped);
     }
 
     #[test]

@@ -134,18 +134,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the warm-up cycle count.
-    pub fn with_warmup(mut self, cycles: usize) -> Self {
-        self.warmup_cycles = cycles;
-        self
-    }
-
-    /// Sets the AES operating mode.
-    pub fn with_aes_mode(mut self, mode: AesMode) -> Self {
-        self.aes_mode = mode;
-        self
-    }
-
     /// The deduplicated active-Trojan set: the primary first, then the
     /// extras in first-occurrence order with repeats (including a kind
     /// listed both as primary *and* extra) removed.
@@ -317,15 +305,20 @@ mod tests {
     #[test]
     fn warmup_zero_is_valid_and_preserved() {
         // warmup = 0 must mean "record from cycle 0", not a default.
-        let s = Scenario::baseline().with_warmup(0);
+        let s = Scenario {
+            warmup_cycles: 0,
+            ..Scenario::baseline()
+        };
         assert_eq!(s.warmup_cycles, 0);
         // The chip config is unaffected by warm-up (it is an
-        // acquisition-loop concern), and the builder keeps every other
+        // acquisition-loop concern), and the builders keep every other
         // field.
         assert_eq!(s.chip_config().seed, Scenario::baseline().seed);
-        let chained = Scenario::trojan_active(TrojanKind::T2)
-            .with_warmup(0)
-            .with_seed(3);
+        let chained = Scenario {
+            warmup_cycles: 0,
+            ..Scenario::trojan_active(TrojanKind::T2)
+        }
+        .with_seed(3);
         assert_eq!(chained.warmup_cycles, 0);
         assert!(chained.chip_config().force_t2_trigger);
     }
@@ -351,12 +344,10 @@ mod tests {
             .with_seed(7)
             .with_vdd(0.8)
             .with_temp_c(125.0)
-            .with_warmup(10)
             .with_key([9; 16]);
         assert_eq!(s.seed, 7);
         assert_eq!(s.vdd, 0.8);
         assert_eq!(s.temp_c, 125.0);
-        assert_eq!(s.warmup_cycles, 10);
         assert_eq!(s.chip_config().key, [9; 16]);
     }
 

@@ -1,7 +1,6 @@
-//! Auto- and cross-correlation.
+//! Autocorrelation.
 //!
-//! The Trojan identification stage compares zero-span envelopes against
-//! stored templates (normalized cross-correlation) and extracts envelope
+//! The Trojan identification stage extracts zero-span envelope
 //! periodicity from the autocorrelation, so all four Trojans can be told
 //! apart without supervision (paper Fig 5).
 
@@ -44,77 +43,6 @@ pub fn autocorrelation(x: &[f64], max_lag: usize) -> Result<Vec<f64>, DspError> 
         out.push(acc / denom);
     }
     Ok(out)
-}
-
-/// Pearson correlation coefficient between two equal-length signals, in
-/// `[-1, 1]`. Returns 0 if either input has zero variance.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for empty inputs or
-/// [`DspError::InvalidLength`] on length mismatch.
-///
-/// # Example
-///
-/// ```
-/// use psa_dsp::correlate::pearson;
-/// let a = [1.0, 2.0, 3.0];
-/// let b = [2.0, 4.0, 6.0];
-/// assert!((pearson(&a, &b)? - 1.0).abs() < 1e-12);
-/// # Ok::<(), psa_dsp::DspError>(())
-/// ```
-pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
-    if a.is_empty() || b.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if a.len() != b.len() {
-        return Err(DspError::InvalidLength {
-            what: "pearson operand length (must match)",
-            got: b.len(),
-        });
-    }
-    let ma = stats::mean(a);
-    let mb = stats::mean(b);
-    let mut num = 0.0;
-    let mut da = 0.0;
-    let mut db = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        num += (x - ma) * (y - mb);
-        da += (x - ma) * (x - ma);
-        db += (y - mb) * (y - mb);
-    }
-    if da == 0.0 || db == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(num / (da * db).sqrt())
-}
-
-/// Maximum normalized cross-correlation over all circular shifts of `b`
-/// relative to `a` — a shift-invariant template match score in `[-1, 1]`.
-///
-/// # Errors
-///
-/// Same conditions as [`pearson`].
-pub fn max_circular_correlation(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
-    if a.is_empty() || b.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if a.len() != b.len() {
-        return Err(DspError::InvalidLength {
-            what: "correlation operand length (must match)",
-            got: b.len(),
-        });
-    }
-    let n = a.len();
-    let mut best = -1.0f64;
-    let mut shifted = vec![0.0; n];
-    for shift in 0..n {
-        for i in 0..n {
-            shifted[i] = b[(i + shift) % n];
-        }
-        best = best.max(pearson(a, &shifted)?);
-    }
-    Ok(best)
 }
 
 /// Estimates the dominant period of a signal (in samples) from the first
@@ -173,56 +101,6 @@ mod tests {
     fn autocorrelation_of_constant_is_zero() {
         let ac = autocorrelation(&[4.2; 50], 10).unwrap();
         assert!(ac.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn pearson_perfect_and_inverse() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [10.0, 20.0, 30.0, 40.0];
-        let c = [40.0, 30.0, 20.0, 10.0];
-        assert!((pearson(&a, &b).unwrap() - 1.0).abs() < 1e-12);
-        assert!((pearson(&a, &c).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_zero_variance_returns_zero() {
-        assert_eq!(pearson(&[1.0, 1.0], &[2.0, 3.0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn pearson_validates() {
-        assert!(pearson(&[], &[]).is_err());
-        assert!(pearson(&[1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn circular_correlation_is_shift_invariant() {
-        let n = 64;
-        let a: Vec<f64> = (0..n).map(|i| (2.0 * PI * i as f64 / 16.0).sin()).collect();
-        let mut b = vec![0.0; n];
-        for i in 0..n {
-            b[i] = a[(i + 7) % n];
-        }
-        let score = max_circular_correlation(&a, &b).unwrap();
-        assert!(score > 0.999, "score {score}");
-    }
-
-    #[test]
-    fn circular_correlation_distinguishes_different_shapes() {
-        let n = 128;
-        // Sine vs pseudo-random telegraph: low best correlation.
-        let a: Vec<f64> = (0..n).map(|i| (2.0 * PI * i as f64 / 16.0).sin()).collect();
-        let b: Vec<f64> = (0..n)
-            .map(|i| {
-                if (i * 2654435761usize) % 97 < 48 {
-                    1.0
-                } else {
-                    -1.0
-                }
-            })
-            .collect();
-        let cross = max_circular_correlation(&a, &b).unwrap();
-        assert!(cross < 0.6, "cross {cross}");
     }
 
     #[test]

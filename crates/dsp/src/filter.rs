@@ -1,7 +1,7 @@
 //! FIR filter design and application.
 //!
-//! Windowed-sinc designs (low-pass and band-pass) plus linear convolution
-//! and decimation. The zero-span path uses a low-pass from here as its
+//! Windowed-sinc low-pass design, linear convolution and a sliding
+//! median. The zero-span path uses a low-pass from here as its
 //! resolution-bandwidth filter, and the current-waveform synthesis uses
 //! convolution for pulse shaping.
 
@@ -30,18 +30,6 @@ pub struct FirFilter {
 }
 
 impl FirFilter {
-    /// Builds a filter directly from taps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] if `taps` is empty.
-    pub fn from_taps(taps: Vec<f64>) -> Result<Self, DspError> {
-        if taps.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        Ok(FirFilter { taps })
-    }
-
     /// Windowed-sinc low-pass with cutoff `cutoff_hz` at sample rate
     /// `fs_hz`, `num_taps` taps (forced odd for a symmetric, linear-phase
     /// type-I filter), normalized to unity DC gain.
@@ -104,55 +92,9 @@ impl FirFilter {
         Ok(FirFilter { taps })
     }
 
-    /// Windowed-sinc band-pass centred on `[f_lo, f_hi]`, normalized to
-    /// unity gain at the band centre.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FirFilter::low_pass`], plus
-    /// [`DspError::FrequencyOutOfRange`] when `f_lo >= f_hi`.
-    pub fn band_pass(
-        f_lo_hz: f64,
-        f_hi_hz: f64,
-        fs_hz: f64,
-        num_taps: usize,
-        window: Window,
-    ) -> Result<Self, DspError> {
-        if f_lo_hz >= f_hi_hz {
-            return Err(DspError::FrequencyOutOfRange {
-                freq_hz: f_lo_hz,
-                fs_hz,
-            });
-        }
-        let hi = FirFilter::low_pass(f_hi_hz, fs_hz, num_taps, window)?;
-        let lo = FirFilter::low_pass(f_lo_hz, fs_hz, num_taps, window)?;
-        let mut taps: Vec<f64> = hi.taps.iter().zip(&lo.taps).map(|(&h, &l)| h - l).collect();
-        // Normalize gain at band centre.
-        let fc = (f_lo_hz + f_hi_hz) / 2.0 / fs_hz;
-        let mut re = 0.0;
-        let mut im = 0.0;
-        for (k, &t) in taps.iter().enumerate() {
-            let ph = -2.0 * PI * fc * k as f64;
-            re += t * ph.cos();
-            im += t * ph.sin();
-        }
-        let gain = re.hypot(im);
-        if gain > 0.0 {
-            for t in &mut taps {
-                *t /= gain;
-            }
-        }
-        Ok(FirFilter { taps })
-    }
-
     /// The filter taps.
     pub fn taps(&self) -> &[f64] {
         &self.taps
-    }
-
-    /// Group delay in samples (for symmetric filters: `(len-1)/2`).
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() as f64 - 1.0) / 2.0
     }
 
     /// Filters `signal`, returning a same-length output ("same" mode,
@@ -194,20 +136,6 @@ pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
         }
     }
     out
-}
-
-/// Keeps every `factor`-th sample.
-///
-/// # Errors
-///
-/// Returns [`DspError::NonPositive`] when `factor == 0`.
-pub fn decimate(signal: &[f64], factor: usize) -> Result<Vec<f64>, DspError> {
-    if factor == 0 {
-        return Err(DspError::NonPositive {
-            what: "decimation factor",
-        });
-    }
-    Ok(signal.iter().step_by(factor).copied().collect())
 }
 
 /// Sliding median of a series: each element replaced by the median over
@@ -320,24 +248,11 @@ mod tests {
     }
 
     #[test]
-    fn band_pass_selects_band() {
-        let fs = 264.0e6;
-        // The zero-span use case: select 48 MHz +- 2 MHz.
-        let bp = FirFilter::band_pass(46e6, 50e6, fs, 201, Window::Hamming).unwrap();
-        assert!(bp.magnitude_at(48e6, fs) > 0.95);
-        assert!(bp.magnitude_at(33e6, fs) < 0.02);
-        assert!(bp.magnitude_at(66e6, fs) < 0.02);
-        assert!(bp.magnitude_at(0.0, fs) < 0.01);
-    }
-
-    #[test]
     fn design_validation() {
         assert!(FirFilter::low_pass(0.0, 1e6, 11, Window::Hann).is_err());
         assert!(FirFilter::low_pass(6e5, 1e6, 11, Window::Hann).is_err());
         assert!(FirFilter::low_pass(1e3, 0.0, 11, Window::Hann).is_err());
         assert!(FirFilter::low_pass(1e3, 1e6, 0, Window::Hann).is_err());
-        assert!(FirFilter::band_pass(5e4, 4e4, 1e6, 11, Window::Hann).is_err());
-        assert!(FirFilter::from_taps(vec![]).is_err());
     }
 
     #[test]
@@ -363,20 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn decimate_keeps_every_kth() {
-        let x: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        assert_eq!(decimate(&x, 3).unwrap(), vec![0.0, 3.0, 6.0, 9.0]);
-        assert!(decimate(&x, 0).is_err());
-        assert_eq!(decimate(&x, 1).unwrap(), x);
-    }
-
-    #[test]
     fn taps_are_symmetric() {
         let lp = FirFilter::low_pass(20e3, 1e6, 41, Window::Blackman).unwrap();
         let t = lp.taps();
         for i in 0..t.len() / 2 {
             assert!((t[i] - t[t.len() - 1 - i]).abs() < 1e-12);
         }
-        assert!((lp.group_delay() - 20.0).abs() < 1e-12);
     }
 }

@@ -22,18 +22,20 @@
 //!   to a full-window recompute).
 //! * [`window`] — Rectangular/Hann/Hamming/Blackman/Blackman-Harris/flat-top
 //!   analysis windows with gain bookkeeping.
-//! * [`spectrum`] — amplitude spectra, periodograms, Welch averaging, STFT,
+//! * [`spectrum`] — amplitude spectra, trace averaging and resampling,
 //!   and dB conversions; this is the "spectrum analyzer screen".
-//! * [`filter`] — windowed-sinc FIR design (low-pass/band-pass), linear
-//!   convolution and decimation.
+//! * [`filter`] — windowed-sinc low-pass FIR design, linear convolution
+//!   and a sliding median.
 //! * [`zero_span`] — digital down-conversion replicating the spectrum
 //!   analyzer's zero-span mode: mix to baseband, low-pass, decimate, take
 //!   the envelope at one chosen frequency.
-//! * [`stats`] — running and batch statistics (RMS, variance, percentiles,
-//!   skewness/kurtosis) used by the SNR procedure and feature extraction.
-//! * [`peak`] — prominence-based spectral peak detection used by the
-//!   cross-domain analysis to find emergent Trojan sidebands.
-//! * [`correlate`] — auto/cross correlation for envelope classification.
+//! * [`stats`] — batch statistics (RMS, variance, percentiles, kurtosis)
+//!   used by the SNR procedure and feature extraction.
+//! * [`peak`] — excess-over-baseline detection and local-maximum
+//!   envelopes the cross-domain analysis uses to find emergent Trojan
+//!   sidebands.
+//! * [`correlate`] — autocorrelation and dominant-period estimation for
+//!   envelope classification.
 //!
 //! # Example
 //!

@@ -2,8 +2,8 @@
 //!
 //! The spectrum-analyzer model applies a window before each FFT to control
 //! spectral leakage, exactly like the bench instrument the paper used. Each
-//! window's coherent and noise gains are tracked so amplitude and power
-//! spectra can be correctly normalized.
+//! window's coherent gain is tracked so amplitude spectra can be correctly
+//! normalized.
 
 use std::f64::consts::PI;
 use std::fmt;
@@ -132,22 +132,6 @@ impl Window {
         w.iter().sum::<f64>() / n as f64
     }
 
-    /// Noise gain: mean of squared coefficients. Used to normalize power
-    /// spectral densities.
-    pub fn noise_gain(self, n: usize) -> f64 {
-        let w = self.coefficients(n);
-        if w.is_empty() {
-            return 0.0;
-        }
-        w.iter().map(|v| v * v).sum::<f64>() / n as f64
-    }
-
-    /// Equivalent noise bandwidth in bins: `noise_gain / coherent_gain²`.
-    pub fn enbw_bins(self, n: usize) -> f64 {
-        let cg = self.coherent_gain(n);
-        self.noise_gain(n) / (cg * cg)
-    }
-
     /// Applies the window to `signal` in place.
     ///
     /// # Example
@@ -196,7 +180,6 @@ mod tests {
         let w = Window::Rectangular.coefficients(16);
         assert!(w.iter().all(|&v| v == 1.0));
         assert!((Window::Rectangular.coherent_gain(16) - 1.0).abs() < 1e-15);
-        assert!((Window::Rectangular.enbw_bins(16) - 1.0).abs() < 1e-15);
     }
 
     #[test]
@@ -212,11 +195,6 @@ mod tests {
     fn hann_coherent_gain_is_half() {
         // Periodic Hann sums to exactly n/2.
         assert!((Window::Hann.coherent_gain(256) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hann_enbw_is_1_5_bins() {
-        assert!((Window::Hann.enbw_bins(1024) - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -257,16 +235,6 @@ mod tests {
         let mut inplace = x.clone();
         Window::Blackman.apply(&mut inplace);
         assert_eq!(inplace, Window::Blackman.applied(&x));
-    }
-
-    #[test]
-    fn enbw_ordering_rect_hann_flattop() {
-        // ENBW: rectangular < hann < flat-top (wider main lobes).
-        let n = 512;
-        let r = Window::Rectangular.enbw_bins(n);
-        let h = Window::Hann.enbw_bins(n);
-        let f = Window::FlatTop.enbw_bins(n);
-        assert!(r < h && h < f, "{r} {h} {f}");
     }
 
     #[test]

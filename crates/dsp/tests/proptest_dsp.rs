@@ -5,9 +5,11 @@
 //! every case derives its inputs from `SmallRng`, which keeps failures
 //! reproducible (the failing seed is in the assertion message).
 
+use psa_dsp::batch::FftPlan;
+use psa_dsp::rfft::RfftPlan;
 use psa_dsp::rng::SmallRng;
 use psa_dsp::window::Window;
-use psa_dsp::{correlate, fft, filter, spectrum, stats, Complex};
+use psa_dsp::{fft, filter, spectrum, stats, Complex};
 
 const CASES: u64 = 64;
 
@@ -19,6 +21,72 @@ fn vec_in(rng: &mut SmallRng, lo: f64, hi: f64, min_len: usize, max_len: usize) 
 
 fn finite_signal(rng: &mut SmallRng, max_len: usize) -> Vec<f64> {
     vec_in(rng, -1.0e3, 1.0e3, 1, max_len)
+}
+
+/// The O(n²) DFT straight from its definition,
+/// `X_k = Σ_j x_j·e^{-2πijk/n}`. The twiddle angle is reduced mod n first
+/// so every twiddle is computed from a small, exact argument.
+fn naive_dft(x: &[Complex]) -> Vec<Complex> {
+    let n = x.len();
+    (0..n)
+        .map(|k| {
+            x.iter().enumerate().fold(Complex::ZERO, |acc, (j, &xj)| {
+                let angle = -2.0 * std::f64::consts::PI * ((j * k) % n) as f64 / n as f64;
+                acc + xj * Complex::cis(angle)
+            })
+        })
+        .collect()
+}
+
+/// Asserts `got` matches the naive DFT of `x` bin for bin, within a
+/// tolerance scaled by `n·max|x|` (the largest magnitude any bin can
+/// reach).
+fn assert_matches_dft(got: &[Complex], x: &[Complex], what: &str) {
+    let want = naive_dft(x);
+    let max_abs = x.iter().map(|z| z.abs()).fold(0.0, f64::max);
+    let tol = 1e-12 * x.len() as f64 * max_abs.max(1.0);
+    assert!(got.len() <= want.len(), "{what}: {} bins", got.len());
+    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+        let err = (*g - *w).abs();
+        assert!(err <= tol, "{what}: bin {k} off by {err:e} (tol {tol:e})");
+    }
+}
+
+/// The planned FFTs and the Bluestein path agree with the DFT
+/// definition: `FftPlan::forward` and `RfftPlan::forward_into` on every
+/// power of two from 1 to 64, `fft_any` on every other length from 3
+/// to 63.
+#[test]
+fn ffts_match_naive_dft() {
+    for case in 0..4u64 {
+        let mut rng = SmallRng::seed_from_u64(0xD1F7 + case);
+        for n in 1..=64usize {
+            let re = vec_in(&mut rng, -1.0e3, 1.0e3, n, n + 1);
+            let im = vec_in(&mut rng, -1.0e3, 1.0e3, n, n + 1);
+            let x: Vec<Complex> = re
+                .iter()
+                .zip(&im)
+                .map(|(&a, &b)| Complex::new(a, b))
+                .collect();
+            if fft::is_power_of_two(n) {
+                let mut planned = x.clone();
+                FftPlan::new(n).unwrap().forward(&mut planned).unwrap();
+                assert_matches_dft(&planned, &x, &format!("FftPlan n={n} seed {case}"));
+                let real: Vec<Complex> = re.iter().map(|&a| Complex::new(a, 0.0)).collect();
+                let (mut packed, mut half) = (Vec::new(), Vec::new());
+                RfftPlan::new(n)
+                    .unwrap()
+                    .forward_into(&re, &mut packed, &mut half)
+                    .unwrap();
+                assert_eq!(half.len(), n / 2 + 1, "RfftPlan n={n}");
+                assert_matches_dft(&half, &real, &format!("RfftPlan n={n} seed {case}"));
+            } else if n >= 3 {
+                let bluestein = fft::fft_any(&x).unwrap();
+                assert_eq!(bluestein.len(), n);
+                assert_matches_dft(&bluestein, &x, &format!("fft_any n={n} seed {case}"));
+            }
+        }
+    }
 }
 
 /// fft followed by ifft returns the original signal.
@@ -140,7 +208,8 @@ fn percentile_monotone() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
         let x = finite_signal(&mut rng, 100);
-        let (lo, hi) = stats::min_max(&x);
+        let lo = x.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut prev = f64::NEG_INFINITY;
         for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 100.0] {
             let v = stats::percentile(&x, p);
@@ -148,44 +217,6 @@ fn percentile_monotone() {
             assert!(v >= lo - 1e-12 && v <= hi + 1e-12, "seed {case} p {p}");
             prev = v;
         }
-    }
-}
-
-/// Pearson correlation is symmetric and bounded.
-#[test]
-fn pearson_bounds() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(case);
-        let a = vec_in(&mut rng, -100.0, 100.0, 3, 50);
-        let b: Vec<f64> = a.iter().map(|v| v * 2.0 + 1.0).collect();
-        let r = correlate::pearson(&a, &b).unwrap();
-        assert!(r <= 1.0 + 1e-9, "seed {case}");
-        // A positive affine map gives correlation 1 (or 0 if degenerate).
-        assert!(r > 0.999 || r == 0.0, "seed {case} r {r}");
-        let rab = correlate::pearson(&a, &b).unwrap();
-        let rba = correlate::pearson(&b, &a).unwrap();
-        assert!((rab - rba).abs() < 1e-12, "seed {case}");
-    }
-}
-
-/// Welford running stats match batch stats.
-#[test]
-fn running_matches_batch() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(case);
-        let x = finite_signal(&mut rng, 300);
-        let mut r = stats::Running::new();
-        for &v in &x {
-            r.push(v);
-        }
-        assert!(
-            (r.mean() - stats::mean(&x)).abs() < 1e-6 * (1.0 + stats::mean(&x).abs()),
-            "seed {case}"
-        );
-        assert!(
-            (r.variance() - stats::variance(&x)).abs() < 1e-5 * (1.0 + stats::variance(&x)),
-            "seed {case}"
-        );
     }
 }
 
@@ -198,8 +229,6 @@ fn window_gains_bounded() {
         for w in Window::ALL {
             let cg = w.coherent_gain(n);
             assert!(cg > 0.0 && cg <= 1.0 + 1e-12, "{w} cg={cg} seed {case}");
-            let ng = w.noise_gain(n);
-            assert!(ng > 0.0 && ng <= 1.0 + 1e-12, "{w} ng={ng} seed {case}");
         }
     }
 }

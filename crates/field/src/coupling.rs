@@ -106,7 +106,6 @@ pub fn source_coupling_column(
 pub struct CouplingMatrix {
     /// `k[source][sensor]`: flux per unit source moment.
     entries: Vec<Vec<f64>>,
-    sensor_count: usize,
 }
 
 impl CouplingMatrix {
@@ -134,42 +133,7 @@ impl CouplingMatrix {
             }
             entries.push(row);
         }
-        Ok(CouplingMatrix {
-            entries,
-            sensor_count: sensor_loops.len(),
-        })
-    }
-
-    /// Number of sources (rows).
-    pub fn source_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of sensors (columns).
-    pub fn sensor_count(&self) -> usize {
-        self.sensor_count
-    }
-
-    /// The coupling of `source` into `sensor`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FieldError::DimensionMismatch`] for out-of-range
-    /// indices.
-    pub fn coupling(&self, source: usize, sensor: usize) -> Result<f64, FieldError> {
-        let row = self
-            .entries
-            .get(source)
-            .ok_or(FieldError::DimensionMismatch {
-                expected: self.entries.len(),
-                got: source,
-            })?;
-        row.get(sensor)
-            .copied()
-            .ok_or(FieldError::DimensionMismatch {
-                expected: row.len(),
-                got: sensor,
-            })
+        Ok(CouplingMatrix { entries })
     }
 
     /// One sensor's couplings across all sources.
@@ -250,14 +214,12 @@ mod tests {
             Rect::new(0.0, 0.0, 332.3, 332.3).to_polygon(),
         ];
         let m = CouplingMatrix::build(&sources, &loops, 4.8).unwrap();
-        assert_eq!(m.source_count(), 3);
-        assert_eq!(m.sensor_count(), 2);
-        assert_eq!(m.coupling(2, 0).unwrap(), 0.0);
-        assert!(m.coupling(0, 0).unwrap().abs() > 0.0);
-        assert!(m.coupling(5, 0).is_err());
-        assert!(m.coupling(0, 5).is_err());
         let col = m.sensor_column(0);
         assert_eq!(col.len(), 3);
+        assert_eq!(col[2], 0.0);
+        assert!(col[0].abs() > 0.0);
+        // An out-of-range sensor reads zero coupling from every source.
+        assert_eq!(m.sensor_column(5), vec![0.0; 3]);
     }
 
     #[test]

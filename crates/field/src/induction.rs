@@ -15,14 +15,8 @@ pub const DEFAULT_LOOP_AREA_M2: f64 = 3.0e-12;
 
 /// Central-difference derivative of a series sampled at `fs_hz`.
 /// Endpoints use one-sided differences; output length equals input.
-pub fn derivative(x: &[f64], fs_hz: f64) -> Vec<f64> {
-    let mut out = Vec::new();
-    derivative_into(x, fs_hz, &mut out);
-    out
-}
-
-/// [`derivative`] into a caller-owned buffer (cleared first), so hot
-/// loops can reuse the allocation across records.
+/// Written into a caller-owned buffer (cleared first), so hot loops can
+/// reuse the allocation across records.
 pub fn derivative_into(x: &[f64], fs_hz: f64, out: &mut Vec<f64>) {
     out.clear();
     let n = x.len();
@@ -47,32 +41,15 @@ pub fn derivative_into(x: &[f64], fs_hz: f64, out: &mut Vec<f64>) {
 /// length) with its effective coupling `k` (Wb per A·m²); `loop_area_m2`
 /// converts current to moment.
 ///
+/// `flux_scratch` holds the superposed flux waveform and `out` the EMF;
+/// both are cleared and refilled, so a per-worker acquisition context
+/// can run record after record without reallocating.
+///
 /// # Errors
 ///
 /// Returns [`FieldError::DimensionMismatch`] when waveform lengths
 /// differ, or [`FieldError::InvalidParameter`] for an empty source list
 /// or non-positive sample rate.
-pub fn induced_emf(
-    sources: &[(&[f64], f64)],
-    loop_area_m2: f64,
-    fs_hz: f64,
-) -> Result<Vec<f64>, FieldError> {
-    let mut flux = Vec::new();
-    let mut out = Vec::new();
-    induced_emf_into(sources, loop_area_m2, fs_hz, &mut flux, &mut out)?;
-    Ok(out)
-}
-
-/// [`induced_emf`] into caller-owned buffers.
-///
-/// `flux_scratch` holds the superposed flux waveform and `out` the EMF;
-/// both are cleared and refilled, so a per-worker acquisition context
-/// can run record after record without reallocating. Results are
-/// bit-identical to [`induced_emf`].
-///
-/// # Errors
-///
-/// Same as [`induced_emf`].
 pub fn induced_emf_into(
     sources: &[(&[f64], f64)],
     loop_area_m2: f64,
@@ -122,11 +99,27 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
+    fn diff(x: &[f64], fs_hz: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        derivative_into(x, fs_hz, &mut out);
+        out
+    }
+
+    fn emf(
+        sources: &[(&[f64], f64)],
+        loop_area_m2: f64,
+        fs_hz: f64,
+    ) -> Result<Vec<f64>, FieldError> {
+        let mut out = Vec::new();
+        induced_emf_into(sources, loop_area_m2, fs_hz, &mut Vec::new(), &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn derivative_of_ramp_is_constant() {
         let fs = 100.0;
         let x: Vec<f64> = (0..50).map(|i| 3.0 * i as f64 / fs).collect();
-        let d = derivative(&x, fs);
+        let d = diff(&x, fs);
         for &v in &d {
             assert!((v - 3.0).abs() < 1e-9);
         }
@@ -139,7 +132,7 @@ mod tests {
         let x: Vec<f64> = (0..2000)
             .map(|i| (2.0 * PI * f0 * i as f64 / fs).sin())
             .collect();
-        let d = derivative(&x, fs);
+        let d = diff(&x, fs);
         for (i, &di) in d.iter().enumerate().take(1990).skip(10) {
             let expected = 2.0 * PI * f0 * (2.0 * PI * f0 * i as f64 / fs).cos();
             assert!((di - expected).abs() < 0.01 * 2.0 * PI * f0, "sample {i}");
@@ -148,8 +141,8 @@ mod tests {
 
     #[test]
     fn derivative_degenerate_lengths() {
-        assert!(derivative(&[], 1.0).is_empty());
-        assert_eq!(derivative(&[5.0], 1.0), vec![0.0]);
+        assert!(diff(&[], 1.0).is_empty());
+        assert_eq!(diff(&[5.0], 1.0), vec![0.0]);
     }
 
     #[test]
@@ -157,10 +150,10 @@ mod tests {
         // Rising current through positive coupling → negative EMF (Lenz).
         let i: Vec<f64> = (0..100).map(|n| n as f64 * 1e-3).collect();
         let k = 2.0e-3;
-        let v = induced_emf(&[(&i, k)], DEFAULT_LOOP_AREA_M2, 1.0e6).unwrap();
+        let v = emf(&[(&i, k)], DEFAULT_LOOP_AREA_M2, 1.0e6).unwrap();
         assert!(v.iter().all(|&x| x < 0.0));
         // Doubling the coupling doubles the EMF.
-        let v2 = induced_emf(&[(&i, 2.0 * k)], DEFAULT_LOOP_AREA_M2, 1.0e6).unwrap();
+        let v2 = emf(&[(&i, 2.0 * k)], DEFAULT_LOOP_AREA_M2, 1.0e6).unwrap();
         for (a, b) in v.iter().zip(&v2) {
             assert!((b / a - 2.0).abs() < 1e-9);
         }
@@ -171,9 +164,9 @@ mod tests {
         let a: Vec<f64> = (0..64).map(|n| (n as f64 * 0.3).sin()).collect();
         let b: Vec<f64> = (0..64).map(|n| (n as f64 * 0.7).cos()).collect();
         let fs = 1.0e6;
-        let va = induced_emf(&[(&a, 1.0)], 1.0, fs).unwrap();
-        let vb = induced_emf(&[(&b, 0.5)], 1.0, fs).unwrap();
-        let vab = induced_emf(&[(&a, 1.0), (&b, 0.5)], 1.0, fs).unwrap();
+        let va = emf(&[(&a, 1.0)], 1.0, fs).unwrap();
+        let vb = emf(&[(&b, 0.5)], 1.0, fs).unwrap();
+        let vab = emf(&[(&a, 1.0), (&b, 0.5)], 1.0, fs).unwrap();
         for i in 0..64 {
             assert!((vab[i] - (va[i] + vb[i])).abs() < 1e-9 * (1.0 + vab[i].abs()));
         }
@@ -193,18 +186,17 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        let fresh =
-            induced_emf(&[(&a, 1.0e-3), (&b, 0.5e-3)], DEFAULT_LOOP_AREA_M2, 1.0e6).unwrap();
+        let fresh = emf(&[(&a, 1.0e-3), (&b, 0.5e-3)], DEFAULT_LOOP_AREA_M2, 1.0e6).unwrap();
         assert_eq!(out, fresh);
     }
 
     #[test]
     fn validates_inputs() {
-        assert!(induced_emf(&[], 1.0, 1.0).is_err());
+        assert!(emf(&[], 1.0, 1.0).is_err());
         let a = vec![0.0; 4];
         let b = vec![0.0; 5];
-        assert!(induced_emf(&[(&a, 1.0), (&b, 1.0)], 1.0, 1.0).is_err());
-        assert!(induced_emf(&[(&a, 1.0)], 1.0, 0.0).is_err());
+        assert!(emf(&[(&a, 1.0), (&b, 1.0)], 1.0, 1.0).is_err());
+        assert!(emf(&[(&a, 1.0)], 1.0, 0.0).is_err());
     }
 
     #[test]
@@ -219,7 +211,7 @@ mod tests {
                 i[c + 1] = 1.5e-3;
             }
         }
-        let v = induced_emf(&[(&i, 1.0e-3)], DEFAULT_LOOP_AREA_M2, fs).unwrap();
+        let v = emf(&[(&i, 1.0e-3)], DEFAULT_LOOP_AREA_M2, fs).unwrap();
         let peak = v.iter().map(|x| x.abs()).fold(0.0, f64::max);
         assert!(peak > 1e-9 && peak < 1e-2, "peak {peak} V");
     }

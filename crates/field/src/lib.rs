@@ -4,8 +4,8 @@
 //! currents and the sensing structures:
 //!
 //! * [`dipole`] — each cluster of switching cells is a vertical magnetic
-//!   dipole; `Bz` and its flux through arbitrary rectangles/polygons are
-//!   integrated with Gauss–Legendre quadrature. The closed-form on-axis
+//!   dipole; its flux through arbitrary polygons is integrated with
+//!   Gauss–Legendre quadrature. The closed-form on-axis
 //!   flux `Φ = µ0·m·R²/(2(R²+h²)^{3/2})` decays like 1/R for large loops —
 //!   the *flux self-cancellation* that motivates the PSA over a single
 //!   whole-chip coil.
@@ -28,8 +28,8 @@
 //! // Flux through a small loop right above beats a whole-die loop:
 //! let small = psa_layout::Rect::new(450.0, 450.0, 550.0, 550.0);
 //! let large = psa_layout::Rect::new(0.0, 0.0, 1000.0, 1000.0);
-//! let phi_small = d.flux_through_rect(&small, 5.0);
-//! let phi_large = d.flux_through_rect(&large, 5.0);
+//! let phi_small = d.flux_through_polygon(&small.to_polygon(), 5.0);
+//! let phi_large = d.flux_through_polygon(&large.to_polygon(), 5.0);
 //! assert!(phi_small > 0.9 * phi_large); // large loop gains almost nothing
 //! ```
 

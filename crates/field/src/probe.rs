@@ -1,8 +1,9 @@
 //! Sensor and probe geometries compared in the paper.
 //!
 //! Table I compares four EM data-collection methods. This module defines
-//! the three the PSA is benchmarked against, plus the PSA sensor geometry
-//! itself, all as [`ProbeModel`]s the acquisition pipeline can swap in:
+//! the three the PSA is benchmarked against as [`ProbeModel`]s the
+//! acquisition pipeline can swap in (the PSA sensor tiles themselves come
+//! from `psa-array`):
 //!
 //! * **Langer LF1** — a large external near-field probe held over the
 //!   package: millimetre-scale loop and standoff (paper SNR: 14.3 dB).
@@ -10,8 +11,6 @@
 //!   outside the package (manufacturer SNR ≈ 34 dB).
 //! * **Single on-chip coil** (He et al., DAC'20) — one whole-die loop on
 //!   the top metal (paper SNR: 30.5 dB); suffers flux self-cancellation.
-//! * **PSA sensor** — one programmed 16-sensor tile on M7/M8
-//!   (paper SNR: 41.0 dB).
 
 use psa_layout::{Point, Polygon, Rect};
 use std::fmt;
@@ -87,25 +86,6 @@ impl ProbeModel {
         }
     }
 
-    /// One PSA sensor tile: `footprint` comes from
-    /// `psa-array::sensors::SensorBank`, `switch_resistance_ohm` from the
-    /// T-gate model.
-    pub fn psa_sensor(
-        footprint: Rect,
-        z_um: f64,
-        wire_resistance_ohm: f64,
-        switch_resistance_ohm: f64,
-    ) -> Self {
-        ProbeModel {
-            name: "PSA sensor",
-            loop_poly: footprint.to_polygon(),
-            z_um,
-            turns: 1,
-            series_resistance_ohm: wire_resistance_ohm + switch_resistance_ohm,
-            ambient_noise_vrms: 0.0,
-        }
-    }
-
     /// Loop area, µm².
     pub fn loop_area_um2(&self) -> f64 {
         self.loop_poly.area()
@@ -145,14 +125,18 @@ mod tests {
         Rect::new(0.0, 0.0, 1000.0, 1000.0)
     }
 
+    /// Sensor 10's footprint on the M7/M8 sensing plane.
+    fn psa_tile() -> Polygon {
+        Rect::new(445.3, 445.3, 777.5, 777.5).to_polygon()
+    }
+
     #[test]
     fn psa_sensor_couples_far_better_than_external_probes() {
         // One unit dipole under sensor 10's footprint.
         let d = Dipole::new(Point::new(611.0, 611.0), 1.0);
-        let psa = ProbeModel::psa_sensor(Rect::new(445.3, 445.3, 777.5, 777.5), 4.8, 30.0, 34.0);
         let lf1 = ProbeModel::langer_lf1(Point::new(500.0, 500.0));
         let icr = ProbeModel::icr_hh100_6(Point::new(611.0, 611.0));
-        let k_psa = d.flux_through_polygon(&psa.loop_poly, psa.z_um).abs();
+        let k_psa = d.flux_through_polygon(&psa_tile(), 4.8).abs();
         let k_lf1 = d.flux_through_polygon(&lf1.loop_poly, lf1.z_um).abs();
         let k_icr = d.flux_through_polygon(&icr.loop_poly, icr.z_um).abs();
         // LF1 sits a millimetre-plus away: an order-of-magnitude
@@ -165,9 +149,8 @@ mod tests {
     #[test]
     fn psa_sensor_beats_whole_die_coil_on_matched_source() {
         let d = Dipole::new(Point::new(611.0, 611.0), 1.0);
-        let psa = ProbeModel::psa_sensor(Rect::new(445.3, 445.3, 777.5, 777.5), 4.8, 30.0, 34.0);
         let single = ProbeModel::single_coil_on_chip(die(), 4.8);
-        let k_psa = d.flux_through_polygon(&psa.loop_poly, psa.z_um).abs();
+        let k_psa = d.flux_through_polygon(&psa_tile(), 4.8).abs();
         let k_single = d.flux_through_polygon(&single.loop_poly, single.z_um).abs();
         // Self-cancellation: the whole-die loop collects less flux from
         // the same dipole.
@@ -177,14 +160,11 @@ mod tests {
     #[test]
     fn external_probes_carry_ambient_noise() {
         let lf1 = ProbeModel::langer_lf1(Point::new(500.0, 500.0));
-        let psa = ProbeModel::psa_sensor(Rect::new(0.0, 0.0, 300.0, 300.0), 4.8, 30.0, 34.0);
         let bw = 120.0e6;
-        // On-chip sensors see only their own thermal noise; external
-        // probes add an ambient floor on top of theirs.
-        assert_eq!(psa.ambient_noise_vrms, 0.0);
+        // External probes add an ambient floor on top of their own
+        // thermal noise.
         assert!(lf1.ambient_noise_vrms > 0.0);
         assert!(lf1.total_noise_vrms(bw) > lf1.thermal_noise_vrms(bw));
-        assert!((psa.total_noise_vrms(bw) - psa.thermal_noise_vrms(bw)).abs() < 1e-12);
     }
 
     #[test]

@@ -219,12 +219,6 @@ impl ActivitySimulator {
         self.cycle
     }
 
-    /// Whether a given Trojan's payload was active on the last simulated
-    /// cycle.
-    pub fn trojan_triggered(&self, kind: TrojanKind) -> bool {
-        self.trojans[kind.index()].is_triggered()
-    }
-
     fn load_next_block(&mut self) {
         let mut pt = self.plaintext_lfsr.next_block();
         if self.config.force_t2_trigger {
@@ -426,7 +420,7 @@ mod tests {
         let t4 = t.total(Source::TrojanT4);
         // T4 peak ≈ 2181 × 0.55 ≈ 1200 toggles on pattern-high cycles.
         assert!(t4 > 2000.0 * 100.0, "T4 total {t4}");
-        assert!(sim.trojan_triggered(TrojanKind::T4));
+        assert!(sim.trojans[TrojanKind::T4.index()].is_triggered());
     }
 
     #[test]
@@ -437,7 +431,7 @@ mod tests {
         };
         let mut sim = ActivitySimulator::new(cfg);
         let t = sim.advance(2000);
-        assert!(sim.trojan_triggered(TrojanKind::T2));
+        assert!(sim.trojans[TrojanKind::T2.index()].is_triggered());
         let loud = t.total(Source::TrojanT2);
 
         let mut quiet_sim = ActivitySimulator::new(ChipConfig::default());

@@ -11,8 +11,8 @@
 ///
 /// ```
 /// use psa_gatesim::lfsr::Lfsr;
-/// // Maximal-length 16-bit LFSR: period 65535.
-/// let mut l = Lfsr::new_16bit(0xACE1);
+/// // Maximal-length 31-bit LFSR.
+/// let mut l = Lfsr::new_31bit(0xACE1);
 /// let first = l.next_bit();
 /// let _ = first;
 /// assert_ne!(l.state(), 0);
@@ -46,12 +46,6 @@ impl Lfsr {
             taps: taps & mask,
             width,
         }
-    }
-
-    /// Maximal-length 16-bit LFSR (polynomial x¹⁶+x¹⁴+x¹³+x¹¹+1, i.e.
-    /// feedback = parity of bits 0, 2, 3, 5).
-    pub fn new_16bit(seed: u16) -> Self {
-        Lfsr::new(seed as u64, 0b10_1101, 16)
     }
 
     /// Maximal-length 31-bit LFSR (polynomial x³¹+x²⁸+1, feedback =
@@ -93,19 +87,17 @@ impl Lfsr {
         block.copy_from_slice(&bytes);
         block
     }
-
-    /// Number of register bits that toggle on one step — the LFSR's own
-    /// switching activity.
-    pub fn step_with_toggles(&mut self) -> u32 {
-        let before = self.state;
-        self.next_bit();
-        (before ^ self.state).count_ones()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Maximal-length 16-bit LFSR (polynomial x¹⁶+x¹⁴+x¹³+x¹¹+1, i.e.
+    /// feedback = parity of bits 0, 2, 3, 5).
+    fn lfsr16(seed: u16) -> Lfsr {
+        Lfsr::new(seed as u64, 0b10_1101, 16)
+    }
 
     #[test]
     fn zero_seed_is_fixed_up() {
@@ -115,7 +107,7 @@ mod tests {
 
     #[test]
     fn sixteen_bit_lfsr_has_maximal_period() {
-        let mut l = Lfsr::new_16bit(0xACE1);
+        let mut l = lfsr16(0xACE1);
         let start = l.state();
         let mut period = 0u64;
         loop {
@@ -130,7 +122,7 @@ mod tests {
 
     #[test]
     fn state_never_zero() {
-        let mut l = Lfsr::new_16bit(1);
+        let mut l = lfsr16(1);
         for _ in 0..10_000 {
             l.next_bit();
             assert_ne!(l.state(), 0);
@@ -161,15 +153,6 @@ mod tests {
         let mut b = Lfsr::new_31bit(123);
         for _ in 0..100 {
             assert_eq!(a.next_bit(), b.next_bit());
-        }
-    }
-
-    #[test]
-    fn toggles_bounded_by_width() {
-        let mut l = Lfsr::new_16bit(0x1234);
-        for _ in 0..1000 {
-            let t = l.step_with_toggles();
-            assert!(t <= 16);
         }
     }
 

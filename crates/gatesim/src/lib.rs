@@ -18,7 +18,8 @@
 //! * [`activity`] — per-cycle, per-module toggle counts for a whole
 //!   encryption schedule.
 //! * [`current`] — converts toggle counts into supply-current waveforms
-//!   i(t) at the EM simulation rate (triangular per-edge pulses).
+//!   i(t) at the EM simulation rate (triangular per-edge pulses), written
+//!   into caller-owned buffers reused record after record.
 //! * [`synth`] — parametric *synthetic* Trojan emitters (drive strength,
 //!   switching signature) placeable anywhere on the die, the emission
 //!   side of the localization-accuracy atlas.

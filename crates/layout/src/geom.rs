@@ -2,7 +2,7 @@
 //!
 //! All coordinates in the workspace are microns in the die plane, with
 //! the origin at the die's lower-left corner. The flux integrator needs
-//! areas, containment tests, intersections and centroids; nothing more
+//! areas, containment and overlap tests; nothing more
 //! exotic.
 
 use crate::error::LayoutError;
@@ -146,25 +146,6 @@ impl Rect {
             && other.min.y < self.max.y
     }
 
-    /// The overlapping region, if it has positive area.
-    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
-        if !self.intersects(other) {
-            return None;
-        }
-        Some(Rect {
-            min: Point::new(self.min.x.max(other.min.x), self.min.y.max(other.min.y)),
-            max: Point::new(self.max.x.min(other.max.x), self.max.y.min(other.max.y)),
-        })
-    }
-
-    /// Smallest rectangle containing both.
-    pub fn union(&self, other: &Rect) -> Rect {
-        Rect {
-            min: Point::new(self.min.x.min(other.min.x), self.min.y.min(other.min.y)),
-            max: Point::new(self.max.x.max(other.max.x), self.max.y.max(other.max.y)),
-        }
-    }
-
     /// Rectangle grown by `margin` µm on every side (shrunk if negative;
     /// the result is clamped to remain non-degenerate).
     pub fn inflate(&self, margin: f64) -> Rect {
@@ -272,29 +253,6 @@ impl Polygon {
         self.signed_area().abs()
     }
 
-    /// Area centroid. Falls back to the vertex mean for zero-area
-    /// polygons.
-    pub fn centroid(&self) -> Point {
-        let a = self.signed_area();
-        if a.abs() < 1e-12 {
-            let n = self.vertices.len() as f64;
-            let sx: f64 = self.vertices.iter().map(|p| p.x).sum();
-            let sy: f64 = self.vertices.iter().map(|p| p.y).sum();
-            return Point::new(sx / n, sy / n);
-        }
-        let n = self.vertices.len();
-        let mut cx = 0.0;
-        let mut cy = 0.0;
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
-            let cross = p.x * q.y - q.x * p.y;
-            cx += (p.x + q.x) * cross;
-            cy += (p.y + q.y) * cross;
-        }
-        Point::new(cx / (6.0 * a), cy / (6.0 * a))
-    }
-
     /// Even-odd point containment (boundary points may go either way).
     pub fn contains(&self, p: Point) -> bool {
         let n = self.vertices.len();
@@ -311,27 +269,6 @@ impl Polygon {
             j = i;
         }
         inside
-    }
-
-    /// Axis-aligned bounding box.
-    pub fn bounding_box(&self) -> Rect {
-        let mut min = self.vertices[0];
-        let mut max = self.vertices[0];
-        for v in &self.vertices {
-            min.x = min.x.min(v.x);
-            min.y = min.y.min(v.y);
-            max.x = max.x.max(v.x);
-            max.y = max.y.max(v.y);
-        }
-        Rect { min, max }
-    }
-
-    /// Total perimeter length in µm.
-    pub fn perimeter(&self) -> f64 {
-        let n = self.vertices.len();
-        (0..n)
-            .map(|i| self.vertices[i].distance_to(self.vertices[(i + 1) % n]))
-            .sum()
     }
 }
 
@@ -387,26 +324,21 @@ mod tests {
     }
 
     #[test]
-    fn rect_intersection_cases() {
+    fn rect_intersects_cases() {
         let a = Rect::new(0.0, 0.0, 10.0, 10.0);
         let b = Rect::new(5.0, 5.0, 15.0, 15.0);
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i, Rect::new(5.0, 5.0, 10.0, 10.0));
-        assert_eq!(i.area(), 25.0);
+        assert!(a.intersects(&b));
         // Touching edges: zero-area, no intersection.
         let c = Rect::new(10.0, 0.0, 20.0, 10.0);
-        assert!(a.intersection(&c).is_none());
+        assert!(!a.intersects(&c));
         // Disjoint.
         let d = Rect::new(100.0, 100.0, 110.0, 110.0);
-        assert!(a.intersection(&d).is_none());
         assert!(!a.intersects(&d));
     }
 
     #[test]
-    fn rect_union_and_inflate() {
+    fn rect_inflate() {
         let a = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let b = Rect::new(4.0, 4.0, 5.0, 5.0);
-        assert_eq!(a.union(&b), Rect::new(0.0, 0.0, 5.0, 5.0));
         let g = a.inflate(1.0);
         assert_eq!(g, Rect::new(-1.0, -1.0, 2.0, 2.0));
         // Over-shrinking collapses to the centre instead of inverting.
@@ -435,14 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn polygon_centroid_of_square() {
-        let sq = Rect::new(2.0, 2.0, 6.0, 6.0).to_polygon();
-        let c = sq.centroid();
-        assert!((c.x - 4.0).abs() < 1e-12);
-        assert!((c.y - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn polygon_contains() {
         let sq = Rect::new(0.0, 0.0, 10.0, 10.0).to_polygon();
         assert!(sq.contains(Point::new(5.0, 5.0)));
@@ -460,18 +384,6 @@ mod tests {
         assert!(l.contains(Point::new(2.0, 8.0)));
         assert!(!l.contains(Point::new(8.0, 8.0)));
         assert_eq!(l.area(), 75.0);
-    }
-
-    #[test]
-    fn polygon_bounding_box_and_perimeter() {
-        let tri = Polygon::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(3.0, 0.0),
-            Point::new(0.0, 4.0),
-        ])
-        .unwrap();
-        assert_eq!(tri.bounding_box(), Rect::new(0.0, 0.0, 3.0, 4.0));
-        assert_eq!(tri.perimeter(), 12.0);
     }
 
     #[test]

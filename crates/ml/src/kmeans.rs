@@ -1,12 +1,17 @@
 //! K-means clustering with k-means++ initialization.
 //!
 //! Used by the Nguyen backscatter baseline to categorize collected spectra
-//! into HT-active / HT-inactive clusters (Table I), and by the
-//! identification stage to group zero-span envelopes without supervision.
+//! into HT-active / HT-inactive clusters (Table I).
 
 use crate::distance::sq_euclidean;
 use crate::error::MlError;
 use psa_dsp::rng::SmallRng;
+
+/// Lloyd-iteration cap per restart.
+const MAX_ITERS: usize = 100;
+
+/// Random restarts per fit; the best inertia wins.
+const RESTARTS: usize = 4;
 
 /// K-means configuration (builder).
 ///
@@ -22,38 +27,18 @@ use psa_dsp::rng::SmallRng;
 #[derive(Debug, Clone)]
 pub struct KMeans {
     k: usize,
-    max_iters: usize,
     seed: u64,
-    n_init: usize,
 }
 
 impl KMeans {
     /// Creates a configuration for `k` clusters.
     pub fn new(k: usize) -> Self {
-        KMeans {
-            k,
-            max_iters: 100,
-            seed: 0xC0FFEE,
-            n_init: 4,
-        }
+        KMeans { k, seed: 0xC0FFEE }
     }
 
     /// Sets the RNG seed (runs are fully deterministic given a seed).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the Lloyd-iteration cap (default 100).
-    pub fn with_max_iters(mut self, iters: usize) -> Self {
-        self.max_iters = iters;
-        self
-    }
-
-    /// Sets how many random restarts to take, keeping the best inertia
-    /// (default 4).
-    pub fn with_restarts(mut self, n_init: usize) -> Self {
-        self.n_init = n_init.max(1);
         self
     }
 
@@ -87,7 +72,7 @@ impl KMeans {
         }
 
         let mut best: Option<KMeansFit> = None;
-        for restart in 0..self.n_init {
+        for restart in 0..RESTARTS {
             let mut rng = SmallRng::seed_from_u64(self.seed.wrapping_add(restart as u64));
             let fit = self.run_once(data, d, &mut rng);
             match &best {
@@ -135,7 +120,7 @@ impl KMeans {
 
         // Lloyd iterations.
         let mut assignments = vec![0usize; n];
-        for _ in 0..self.max_iters {
+        for _ in 0..MAX_ITERS {
             let mut changed = false;
             for (i, p) in data.iter().enumerate() {
                 let mut best_c = 0;
@@ -223,25 +208,6 @@ impl KMeansFit {
     pub fn inertia(&self) -> f64 {
         self.inertia
     }
-
-    /// Predicts the cluster of a new sample.
-    pub fn predict(&self, sample: &[f64]) -> usize {
-        self.centroids
-            .iter()
-            .enumerate()
-            .min_by(|a, b| sq_euclidean(sample, a.1).total_cmp(&sq_euclidean(sample, b.1)))
-            .map(|(i, _)| i)
-            .expect("k >= 1 by construction")
-    }
-
-    /// Number of samples in each cluster.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.centroids.len()];
-        for &a in &self.assignments {
-            sizes[a] += 1;
-        }
-        sizes
-    }
 }
 
 #[cfg(test)]
@@ -268,7 +234,6 @@ mod tests {
         for i in (1..40).step_by(2) {
             assert_ne!(fit.assignments()[i], a);
         }
-        assert_eq!(fit.cluster_sizes(), vec![20, 20]);
     }
 
     #[test]
@@ -284,15 +249,6 @@ mod tests {
         let f1 = KMeans::new(2).with_seed(9).fit(&blobs()).unwrap();
         let f2 = KMeans::new(2).with_seed(9).fit(&blobs()).unwrap();
         assert_eq!(f1, f2);
-    }
-
-    #[test]
-    fn predict_assigns_to_nearest() {
-        let fit = KMeans::new(2).with_seed(5).fit(&blobs()).unwrap();
-        let near_a = fit.predict(&[0.05, 0.05]);
-        let near_b = fit.predict(&[8.05, 7.9]);
-        assert_ne!(near_a, near_b);
-        assert_eq!(near_a, fit.assignments()[0]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::error::MlError;
 /// use psa_ml::matrix::Matrix;
 /// let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]])?;
 /// assert_eq!(m.get(1, 0), 3.0);
-/// assert_eq!(m.transpose().get(0, 1), 3.0);
+/// assert_eq!(m.row(1), &[3.0, 4.0]);
 /// # Ok::<(), psa_ml::MlError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -108,44 +108,6 @@ impl Matrix {
     /// Row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self × other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] when inner dimensions differ.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, MlError> {
-        if self.cols != other.rows {
-            return Err(MlError::DimensionMismatch {
-                expected: self.cols,
-                got: other.rows,
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += a * other.get(k, j);
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// `true` if the matrix is symmetric to within `tol`.
@@ -282,39 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose().get(1, 2), 6.0);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let i = Matrix::identity(2);
-        assert_eq!(m.matmul(&i).unwrap(), m);
-        assert_eq!(i.matmul(&m).unwrap(), m);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(vec![vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        let p = a.matmul(&b).unwrap();
-        assert_eq!(p.get(0, 0), 19.0);
-        assert_eq!(p.get(0, 1), 22.0);
-        assert_eq!(p.get(1, 0), 43.0);
-        assert_eq!(p.get(1, 1), 50.0);
-    }
-
-    #[test]
-    fn matmul_dimension_check() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
     fn eigen_of_diagonal() {
         let m = Matrix::from_rows(vec![
             vec![3.0, 0.0, 0.0],
@@ -351,21 +280,12 @@ mod tests {
         ])
         .unwrap();
         let (vals, vecs) = m.symmetric_eigen().unwrap();
-        let mut lambda = Matrix::zeros(3, 3);
-        for (i, &v) in vals.iter().enumerate() {
-            lambda.set(i, i, v);
-        }
-        let recon = vecs
-            .matmul(&lambda)
-            .unwrap()
-            .matmul(&vecs.transpose())
-            .unwrap();
         for i in 0..3 {
             for j in 0..3 {
-                assert!(
-                    (recon.get(i, j) - m.get(i, j)).abs() < 1e-8,
-                    "mismatch at ({i},{j})"
-                );
+                let recon: f64 = (0..3)
+                    .map(|k| vecs.get(i, k) * vals[k] * vecs.get(j, k))
+                    .sum();
+                assert!((recon - m.get(i, j)).abs() < 1e-8, "mismatch at ({i},{j})");
             }
         }
     }
@@ -379,11 +299,11 @@ mod tests {
         ])
         .unwrap();
         let (_, vecs) = m.symmetric_eigen().unwrap();
-        let vtv = vecs.transpose().matmul(&vecs).unwrap();
         for i in 0..3 {
             for j in 0..3 {
+                let vtv: f64 = (0..3).map(|k| vecs.get(k, i) * vecs.get(k, j)).sum();
                 let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((vtv.get(i, j) - expected).abs() < 1e-8);
+                assert!((vtv - expected).abs() < 1e-8);
             }
         }
     }

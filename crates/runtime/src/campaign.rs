@@ -72,8 +72,8 @@ impl AcquireJob {
 ///         AcquireJob::new(Scenario::baseline(), SensorSelect::Psa(10), 5).with_seed(100 + s)
 ///     })
 ///     .collect();
-/// let spectra = campaign.fullres_spectra_db(&jobs).unwrap();
-/// assert_eq!(spectra.len(), 8);
+/// let traces = campaign.acquire(&jobs).unwrap();
+/// assert_eq!(traces.len(), 8);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Campaign<'c> {
@@ -118,20 +118,6 @@ impl<'c> Campaign<'c> {
     pub fn acquire(&self, jobs: &[AcquireJob]) -> Result<Vec<TraceSet>, CoreError> {
         self.run(jobs, |ctx, _, job| {
             ctx.acquire(&job.effective_scenario(), job.sensor, job.records)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Acquires every job and renders its full-resolution detector
-    /// spectrum (dB), the campaign hot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing job's error.
-    pub fn fullres_spectra_db(&self, jobs: &[AcquireJob]) -> Result<Vec<Vec<f64>>, CoreError> {
-        self.run(jobs, |ctx, _, job| {
-            ctx.acquire_fullres_spectrum_db(&job.effective_scenario(), job.sensor, job.records)
         })
         .into_iter()
         .collect()

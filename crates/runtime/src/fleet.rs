@@ -436,11 +436,7 @@ impl<'c> Fleet<'c> {
     /// Fixed `(start, end)` chip shards — a pure function of the fleet
     /// shape, never of the worker count.
     fn shards(&self) -> Vec<(usize, usize)> {
-        let n = self.config.chips;
-        let step = self.config.shard_chips;
-        (0..n.div_ceil(step))
-            .map(|i| (i * step, ((i + 1) * step).min(n)))
-            .collect()
+        shard_ranges(self.config.chips, self.config.shard_chips)
     }
 
     /// Pooled bins per spectrum row.
@@ -607,6 +603,14 @@ impl<'c> Fleet<'c> {
     }
 }
 
+/// Splits `chips` dies into contiguous `[start, end)` shards of
+/// `shard_chips` dies each (the last one shorter), in die order.
+fn shard_ranges(chips: usize, shard_chips: usize) -> Vec<(usize, usize)> {
+    (0..chips.div_ceil(shard_chips))
+        .map(|i| (i * shard_chips, ((i + 1) * shard_chips).min(chips)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,18 +721,19 @@ mod tests {
 
     #[test]
     fn shard_partition_is_fixed_and_total() {
-        let chip = FleetConfig {
-            chips: 10,
-            shard_chips: 4,
-            ..FleetConfig::default()
-        };
-        // Mirror Fleet::shards without a chip: the partition is a pure
-        // function of (chips, shard_chips).
-        let n = chip.chips;
-        let step = chip.shard_chips;
-        let shards: Vec<(usize, usize)> = (0..n.div_ceil(step))
-            .map(|i| (i * step, ((i + 1) * step).min(n)))
-            .collect();
-        assert_eq!(shards, vec![(0, 4), (4, 8), (8, 10)]);
+        // The partition Fleet::shards uses is a pure function of
+        // (chips, shard_chips): contiguous, in order, covering every die
+        // exactly once, with only the last shard short.
+        assert_eq!(shard_ranges(10, 4), vec![(0, 4), (4, 8), (8, 10)]);
+        assert_eq!(shard_ranges(8, 4), vec![(0, 4), (4, 8)]);
+        assert_eq!(shard_ranges(3, 5), vec![(0, 3)]);
+        assert_eq!(shard_ranges(1, 1), vec![(0, 1)]);
+        for (chips, step) in [(10_000, 256), (7, 3), (64, 64)] {
+            let shards = shard_ranges(chips, step);
+            assert_eq!(shards.first().map(|s| s.0), Some(0));
+            assert_eq!(shards.last().map(|s| s.1), Some(chips));
+            assert!(shards.windows(2).all(|w| w[0].1 == w[1].0));
+            assert!(shards.iter().all(|&(a, b)| a < b && b - a <= step));
+        }
     }
 }

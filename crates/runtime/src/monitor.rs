@@ -150,24 +150,6 @@ impl MonitorSummary {
         }
         s
     }
-
-    /// Detection rate over Trojan-carrying sessions (1.0 when none).
-    pub fn detection_rate(&self) -> f64 {
-        if self.trojan_sessions == 0 {
-            1.0
-        } else {
-            self.detected as f64 / self.trojan_sessions as f64
-        }
-    }
-
-    /// False alarms per streamed record.
-    pub fn false_alarm_rate(&self) -> f64 {
-        if self.records == 0 {
-            0.0
-        } else {
-            self.false_alarms as f64 / self.records as f64
-        }
-    }
 }
 
 /// An engine-backed monitor campaign: one shared chip and learned
@@ -275,16 +257,12 @@ mod tests {
         assert_eq!(s.records, 24);
         assert_eq!(s.localization_scored, 2);
         assert_eq!(s.localization_correct, 1);
-        assert!((s.detection_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((s.false_alarm_rate() - 1.0 / 24.0).abs() < 1e-12);
     }
 
     #[test]
     fn summary_of_empty_campaign_is_benign() {
         let s = MonitorSummary::from_outcomes(&[]);
         assert_eq!(s.sessions, 0);
-        assert_eq!(s.detection_rate(), 1.0);
-        assert_eq!(s.false_alarm_rate(), 0.0);
     }
 
     #[test]

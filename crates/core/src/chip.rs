@@ -509,7 +509,7 @@ mod tests {
         // reproduce the precomputed coupling column and noise floor bit
         // for bit — the contract that makes Custom(preset) ≡ Psa(i).
         let c = chip();
-        for sel in [0u8, 10] {
+        for sel in 0u8..16 {
             let p = CoilProgram::preset(sel).unwrap();
             let custom = c.couplings_for(SensorSelect::Custom(p)).unwrap();
             let preset = c.couplings_for(SensorSelect::Psa(sel as usize)).unwrap();

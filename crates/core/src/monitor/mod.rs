@@ -15,8 +15,12 @@
 //!   the schedule, through a reusable
 //!   [`AcqContext`](crate::acquisition::AcqContext) (zero hot-path
 //!   allocations in steady state).
-//! * [`SlidingDetector`] — per-sensor rolling spectra over a ring
-//!   buffer, compared against (optionally rolling) baseline envelopes.
+//! * [`AlarmLane`] — the run-time check for one stream: a rolling
+//!   spectrum over cached amplitude rows, compared against the
+//!   (optionally rolling) baseline envelope, with the alarm / clear /
+//!   recalibrate state machine. The fleet monitor reuses it.
+//! * [`SlidingDetector`] — one [`AlarmLane`] per watched sensor, fed
+//!   full-resolution rows.
 //! * [`Monitor`] — the session loop, emitting cycle-stamped
 //!   [`MonitorEvent`]s (`Alarm`, `Clear`, `Localized`,
 //!   `DriftRecalibrated`).
@@ -39,5 +43,5 @@ pub use event::{MonitorEvent, MonitorEventKind};
 pub use report::MonitorReport;
 pub use schedule::{ActivationSchedule, ScheduleChange, ScheduleStep};
 pub use session::Monitor;
-pub use sliding::{LaneObservation, SlidingConfig, SlidingDetector};
+pub use sliding::{AlarmLane, LaneObservation, SlidingConfig, SlidingDetector};
 pub use stream::StreamSource;

@@ -1,5 +1,12 @@
-//! The sliding detector: per-sensor rolling spectra compared against
-//! (optionally rolling) baseline envelopes.
+//! The run-time check: a rolling spectrum compared against the
+//! (optionally rolling) envelope of the baseline learned from the same
+//! chip, raising and clearing alarms.
+//!
+//! [`AlarmLane`] is the one home of that rule: one stream's ring of
+//! cached amplitude rows plus its alarm / clear / recalibrate state
+//! machine. [`SlidingDetector`] runs one lane per watched sensor on
+//! full-resolution rows; the fleet monitor in `psa-runtime` runs one
+//! lane per die on max-pooled rows.
 
 use crate::acquisition::{AcqContext, TraceSet};
 use crate::calib;
@@ -54,23 +61,6 @@ impl Default for SlidingConfig {
     }
 }
 
-/// One watched sensor's streaming state.
-#[derive(Debug)]
-struct Lane {
-    sensor: usize,
-    /// Rolling record window; evicted record buffers are recycled
-    /// through `fresh` so the steady-state stream never allocates.
-    window: TraceSet,
-    fresh: TraceSet,
-    /// Cached per-record amplitude rows mirroring `window` (one FFT per
-    /// tick; the window average is maintained from these).
-    rows: SlidingSpectrum,
-    base_env: Vec<f64>,
-    alarmed: bool,
-    quiet_ticks: usize,
-    quiet_since_recalib: usize,
-}
-
 /// What one lane saw during one stream tick.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneObservation {
@@ -88,17 +78,156 @@ pub struct LaneObservation {
     pub top_bin: Option<usize>,
     /// Excess of the strongest emergent bin, dB.
     pub top_excess_db: f64,
-    /// The tick's full-resolution spectrum (dB), for cross-lane
-    /// localization at a common line.
+    /// The tick's window-averaged spectrum (dB), for cross-lane
+    /// localization at a common line; empty during warm fill.
     pub spec: Vec<f64>,
 }
 
-/// The streaming detector: a ring-buffered rolling spectrum per watched
-/// sensor, compared each tick against that sensor's baseline envelope.
+/// One watched stream's run-time check: a ring of cached amplitude rows
+/// compared, tick by tick, against the envelope of the baseline learned
+/// from the same chip, driving the alarm / clear / recalibrate state
+/// machine.
+///
+/// The lane takes already-computed amplitude rows and keeps no raw
+/// records: [`SlidingDetector`] feeds it full-resolution rows, the
+/// fleet monitor feeds it max-pooled ones. Either way the caller's
+/// rows must have the baseline's bin count.
+#[derive(Debug, Clone)]
+pub struct AlarmLane {
+    sensor: usize,
+    config: SlidingConfig,
+    /// Cached per-record amplitude rows of the rolling window (one FFT
+    /// per tick; the window average is maintained from these).
+    rows: SlidingSpectrum,
+    base_env: Vec<f64>,
+    alarmed: bool,
+    quiet_ticks: usize,
+    quiet_since_recalib: usize,
+}
+
+impl AlarmLane {
+    /// Checks `config`'s window bounds: `1 <= min_window_records <=
+    /// window_records`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] naming the violated bound.
+    pub fn validate(config: &SlidingConfig) -> Result<(), CoreError> {
+        let invalid = |what: &'static str| Err(CoreError::InvalidParameter { what });
+        if config.window_records == 0 {
+            return invalid("rolling window must hold at least one record");
+        }
+        if config.min_window_records == 0 {
+            return invalid("warm-fill minimum must be at least one record");
+        }
+        if config.min_window_records > config.window_records {
+            return invalid("warm-fill minimum exceeds the rolling window depth");
+        }
+        Ok(())
+    }
+
+    /// A lane watching `sensor`, compared against the local-max
+    /// envelope of `baseline_db`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] when `config` fails
+    /// [`validate`](Self::validate).
+    pub fn new(
+        sensor: usize,
+        baseline_db: &[f64],
+        config: SlidingConfig,
+    ) -> Result<Self, CoreError> {
+        Self::validate(&config)?;
+        Ok(AlarmLane {
+            sensor,
+            rows: SlidingSpectrum::new(config.window_records)?,
+            base_env: peak::local_max_envelope(baseline_db, config.envelope_half_window),
+            config,
+            alarmed: false,
+            quiet_ticks: 0,
+            quiet_since_recalib: 0,
+        })
+    }
+
+    /// Pushes one record's amplitude row into the window, then — once
+    /// the window holds `min_window_records` rows — compares the window
+    /// average against the baseline envelope and steps the alarm /
+    /// clear / recalibrate state machine.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] when `row`'s bin count differs
+    /// from the baseline envelope's (checked on every push, warm fill
+    /// included: the comparison would otherwise silently cover only the
+    /// shorter of two unrelated frequency grids); DSP errors for an
+    /// empty row.
+    pub fn push(&mut self, row: &[f64]) -> Result<LaneObservation, CoreError> {
+        if row.len() != self.base_env.len() {
+            return Err(CoreError::InvalidParameter {
+                what: "amplitude row and baseline envelope differ in bin count",
+            });
+        }
+        self.rows.push_row(row)?;
+        let mut obs = LaneObservation {
+            sensor: self.sensor,
+            hit: false,
+            newly_alarmed: false,
+            cleared: false,
+            recalibrated: false,
+            top_bin: None,
+            top_excess_db: 0.0,
+            spec: Vec::new(),
+        };
+        if self.rows.len() < self.config.min_window_records {
+            // Warm fill: the window is still too shallow for a stable
+            // spectrum; no comparison, no state-machine movement.
+            return Ok(obs);
+        }
+        // Window average from the cached rows — bit-identical to a
+        // full-window recompute over the same records (a regression
+        // test replays whole sessions against it).
+        let spec = self.rows.averaged_db()?;
+        let hits = peak::excess_over_baseline_db(&spec, &self.base_env, self.config.threshold_db);
+        obs.hit = !hits.is_empty();
+        if let Some((bin, excess)) = top_hit(&hits) {
+            self.quiet_ticks = 0;
+            self.quiet_since_recalib = 0;
+            obs.top_bin = Some(bin);
+            obs.top_excess_db = excess;
+            if !self.alarmed {
+                self.alarmed = true;
+                obs.newly_alarmed = true;
+            }
+        } else {
+            self.quiet_ticks += 1;
+            self.quiet_since_recalib += 1;
+            if self.alarmed && self.quiet_ticks >= self.config.clear_after_quiet {
+                self.alarmed = false;
+                obs.cleared = true;
+            }
+            if let Some(every) = self.config.recalibrate_after {
+                if !self.alarmed && self.quiet_since_recalib >= every {
+                    self.base_env =
+                        peak::local_max_envelope(&spec, self.config.envelope_half_window);
+                    self.quiet_since_recalib = 0;
+                    obs.recalibrated = true;
+                }
+            }
+        }
+        obs.spec = spec;
+        Ok(obs)
+    }
+}
+
+/// The streaming detector: one [`AlarmLane`] per watched sensor, fed
+/// full-resolution amplitude rows of records pulled from a live stream.
 #[derive(Debug)]
 pub struct SlidingDetector {
-    config: SlidingConfig,
-    lanes: Vec<Lane>,
+    lanes: Vec<AlarmLane>,
+    /// The pull buffer every lane's record passes through (recycled, so
+    /// the steady-state stream never allocates a record).
+    fresh: TraceSet,
 }
 
 impl SlidingDetector {
@@ -108,7 +237,8 @@ impl SlidingDetector {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] when `sensors` is empty, the
-    /// window is zero, or the baseline lacks a watched sensor.
+    /// window bounds fail [`AlarmLane::validate`], or the baseline lacks
+    /// a watched sensor.
     pub fn new(
         baseline: &Baseline,
         sensors: &[usize],
@@ -117,16 +247,6 @@ impl SlidingDetector {
         if sensors.is_empty() {
             return Err(CoreError::InvalidParameter {
                 what: "monitor needs at least one sensor",
-            });
-        }
-        if config.window_records == 0 {
-            return Err(CoreError::InvalidParameter {
-                what: "rolling window must hold at least one record",
-            });
-        }
-        if config.min_window_records > config.window_records {
-            return Err(CoreError::InvalidParameter {
-                what: "warm-fill minimum exceeds the rolling window depth",
             });
         }
         let lanes = sensors
@@ -139,24 +259,18 @@ impl SlidingDetector {
                         .ok_or(CoreError::InvalidParameter {
                             what: "baseline missing monitored sensor",
                         })?;
-                Ok(Lane {
-                    sensor,
-                    window: TraceSet::default(),
-                    fresh: TraceSet::default(),
-                    rows: SlidingSpectrum::new(config.window_records)?,
-                    base_env: peak::local_max_envelope(base, config.envelope_half_window),
-                    alarmed: false,
-                    quiet_ticks: 0,
-                    quiet_since_recalib: 0,
-                })
+                AlarmLane::new(sensor, base, config.clone())
             })
             .collect::<Result<Vec<_>, CoreError>>()?;
-        Ok(SlidingDetector { config, lanes })
+        Ok(SlidingDetector {
+            lanes,
+            fresh: TraceSet::default(),
+        })
     }
 
-    /// The configuration in use.
+    /// The configuration in use (shared by every lane).
     pub fn config(&self) -> &SlidingConfig {
-        &self.config
+        &self.lanes[0].config
     }
 
     /// Number of watched sensors.
@@ -175,15 +289,18 @@ impl SlidingDetector {
     }
 
     /// Processes one stream tick for lane `lane_idx`: pull the record,
-    /// roll the window, render the spectrum, compare, and update the
-    /// alarm / recalibration state machine.
+    /// transform it, and [`push`](AlarmLane::push) its amplitude row
+    /// into the lane.
     ///
-    /// The acquisition→comparison sequence is bit-identical to one
-    /// iteration of the batch MTTD replay loop.
+    /// Only the record just pulled is transformed; the lane's ring
+    /// caches the older records' rows, so a steady-state tick costs one
+    /// FFT instead of `window_records`. The acquisition→comparison
+    /// sequence is bit-identical to one iteration of the batch MTTD
+    /// replay loop.
     ///
     /// # Errors
     ///
-    /// Propagates acquisition/DSP errors.
+    /// Propagates acquisition/DSP errors and the lane's bin-count check.
     ///
     /// # Panics
     ///
@@ -196,81 +313,8 @@ impl SlidingDetector {
         lane_idx: usize,
     ) -> Result<LaneObservation, CoreError> {
         let lane = &mut self.lanes[lane_idx];
-        stream.pull_scenario_into(ctx, scenario, lane.sensor, &mut lane.fresh)?;
-        roll_window(
-            &mut lane.window,
-            &mut lane.fresh,
-            self.config.window_records,
-        );
-        // Transform only the record that just entered the window; the
-        // cached rows of the older records are reused, so a steady-state
-        // tick costs one FFT instead of `window_records`.
-        {
-            let newest = lane
-                .window
-                .records
-                .last()
-                .expect("roll_window always leaves at least one record");
-            let row = ctx.fullres_amplitude_row(newest)?;
-            lane.rows.push_row(row)?;
-        }
-        if lane.window.records.len() < self.config.min_window_records {
-            // Warm fill: the window is still too shallow for a stable
-            // spectrum; no comparison, no state-machine movement.
-            return Ok(LaneObservation {
-                sensor: lane.sensor,
-                hit: false,
-                newly_alarmed: false,
-                cleared: false,
-                recalibrated: false,
-                top_bin: None,
-                top_excess_db: 0.0,
-                spec: Vec::new(),
-            });
-        }
-        // Window average from the cached rows — bit-identical to
-        // `ctx.fullres_spectrum_db(&lane.window)` (a regression test
-        // replays whole sessions against the full recompute).
-        let spec = lane.rows.averaged_db()?;
-        let hits = peak::excess_over_baseline_db(&spec, &lane.base_env, self.config.threshold_db);
-
-        let mut obs = LaneObservation {
-            sensor: lane.sensor,
-            hit: !hits.is_empty(),
-            newly_alarmed: false,
-            cleared: false,
-            recalibrated: false,
-            top_bin: None,
-            top_excess_db: 0.0,
-            spec: Vec::new(),
-        };
-        if let Some((bin, excess)) = top_hit(&hits) {
-            lane.quiet_ticks = 0;
-            lane.quiet_since_recalib = 0;
-            obs.top_bin = Some(bin);
-            obs.top_excess_db = excess;
-            if !lane.alarmed {
-                lane.alarmed = true;
-                obs.newly_alarmed = true;
-            }
-        } else {
-            lane.quiet_ticks += 1;
-            lane.quiet_since_recalib += 1;
-            if lane.alarmed && lane.quiet_ticks >= self.config.clear_after_quiet {
-                lane.alarmed = false;
-                obs.cleared = true;
-            }
-            if let Some(every) = self.config.recalibrate_after {
-                if !lane.alarmed && lane.quiet_since_recalib >= every {
-                    lane.base_env =
-                        peak::local_max_envelope(&spec, self.config.envelope_half_window);
-                    lane.quiet_since_recalib = 0;
-                    obs.recalibrated = true;
-                }
-            }
-        }
-        obs.spec = spec;
-        Ok(obs)
+        stream.pull_scenario_into(ctx, scenario, lane.sensor, &mut self.fresh)?;
+        lane.push(ctx.fullres_amplitude_row(&self.fresh.records[0])?)
     }
 
     /// Absolute linear-amplitude excess of lane `lane_idx`'s spectrum
@@ -294,25 +338,6 @@ impl SlidingDetector {
 /// depend on a neighbour module's ordering contract.
 fn top_hit(hits: &[(usize, f64)]) -> Option<(usize, f64)> {
     hits.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1))
-}
-
-/// Rolls one pulled record (`fresh.records[0]`) into the window.
-///
-/// During warm fill the window still needs a slot of its own, so the
-/// pulled samples are *copied* in and `fresh` keeps its buffer — a
-/// `mem::take` here would leave `fresh` empty and force the next pull to
-/// re-allocate. Once the window is full, the oldest record's buffer is
-/// swapped out through `fresh`, so steady-state ticks never allocate.
-fn roll_window(window: &mut TraceSet, fresh: &mut TraceSet, window_records: usize) {
-    window.fs_hz = fresh.fs_hz;
-    window.sensor = fresh.sensor;
-    if window.records.len() < window_records {
-        window.records.push(fresh.records[0].clone());
-    } else {
-        let mut oldest = window.records.remove(0);
-        std::mem::swap(&mut oldest, &mut fresh.records[0]);
-        window.records.push(oldest);
-    }
 }
 
 #[cfg(test)]
@@ -346,6 +371,11 @@ mod tests {
             ..SlidingConfig::default()
         };
         assert!(SlidingDetector::new(&baseline, &[0], bad_fill).is_err());
+        let no_fill = SlidingConfig {
+            min_window_records: 0,
+            ..SlidingConfig::default()
+        };
+        assert!(SlidingDetector::new(&baseline, &[0], no_fill).is_err());
         assert!(SlidingDetector::new(&baseline, &[3], SlidingConfig::default()).is_err());
         let ok = SlidingDetector::new(&baseline, &[0], SlidingConfig::default()).unwrap();
         assert_eq!(ok.lanes(), 1);
@@ -378,61 +408,24 @@ mod tests {
     }
 
     #[test]
-    fn window_roll_recycles_buffers_and_never_starves_fresh() {
-        const LEN: usize = 64;
-        let depth = 3;
-        let mut fresh = TraceSet {
-            records: vec![Vec::with_capacity(LEN)],
-            fs_hz: 1.0,
-            sensor: crate::chip::SensorSelect::Psa(0),
+    fn observe_rejects_a_baseline_of_another_bin_count() {
+        // An 8-bin baseline against 32 769-bin rows must be rejected,
+        // not compared over the first 8 bins of two unrelated grids.
+        let chip = crate::chip::TestChip::date24();
+        let mut ctx = AcqContext::new(&chip);
+        let baseline = Baseline {
+            per_sensor_db: vec![vec![0.0; 8]; 16],
         };
-        let mut window = TraceSet {
-            records: Vec::new(),
-            fs_hz: 0.0,
-            sensor: crate::chip::SensorSelect::Psa(0),
-        };
-        let ptrs = |window: &TraceSet, fresh: &TraceSet| -> Vec<usize> {
-            let mut p: Vec<usize> = window
-                .records
-                .iter()
-                .chain(fresh.records.iter())
-                .map(|r| r.as_ptr() as usize)
-                .collect();
-            p.sort_unstable();
-            p
-        };
-        let mut steady_ptrs: Option<Vec<usize>> = None;
-        for tick in 0..20usize {
-            // Simulate the stream pull: refill `fresh` in place. The
-            // recycling invariant under test is that every pull after
-            // the first finds a full-capacity buffer waiting.
-            if tick > 0 {
-                assert!(
-                    fresh.records[0].capacity() >= LEN,
-                    "tick {tick}: fresh buffer lost its capacity"
-                );
-            }
-            fresh.records[0].clear();
-            fresh.records[0].extend((0..LEN).map(|i| (tick * LEN + i) as f64));
-            roll_window(&mut window, &mut fresh, depth);
-
-            assert_eq!(window.records.len(), depth.min(tick + 1));
-            // The window holds the last `depth` pulls, oldest first.
-            let oldest_tick = (tick + 1).saturating_sub(depth);
-            for (slot, t) in (oldest_tick..=tick).enumerate() {
-                assert_eq!(window.records[slot][0], (t * LEN) as f64);
-            }
-            // Steady state: the buffer set is closed — records recycle
-            // between the window and `fresh`, nothing is allocated.
-            if window.records.len() == depth {
-                let now = ptrs(&window, &fresh);
-                match &steady_ptrs {
-                    None => steady_ptrs = Some(now),
-                    Some(expect) => {
-                        assert_eq!(&now, expect, "tick {tick}: buffer set changed")
-                    }
-                }
-            }
-        }
+        let mut detector =
+            SlidingDetector::new(&baseline, &[10], SlidingConfig::default()).unwrap();
+        let stream = StreamSource::new(crate::monitor::ActivationSchedule::constant(
+            Scenario::baseline(),
+            1,
+        ));
+        let scenario = stream.schedule().scenario_at(0);
+        assert!(matches!(
+            detector.observe(&mut ctx, &stream, &scenario, 0),
+            Err(CoreError::InvalidParameter { .. })
+        ));
     }
 }

@@ -88,42 +88,37 @@ pub struct AtlasOutcome {
     pub outcome: PlacementOutcome,
 }
 
-/// An engine-backed atlas campaign: one shared chip, per-corner learned
-/// baselines, placements fanned across workers.
+/// The per-corner state the atlas and joint-localization campaigns
+/// evaluate against: each corner's 16-sensor baseline, learned at that
+/// corner, and its detection envelopes.
 #[derive(Debug)]
-pub struct AtlasCampaign<'c> {
-    campaign: Campaign<'c>,
-    sweep: PlacementSweep<'c>,
-    corners: Vec<AtlasCorner>,
-    baselines: Vec<Baseline>,
+pub(crate) struct CornerStore {
+    pub(crate) corners: Vec<AtlasCorner>,
+    pub(crate) baselines: Vec<Baseline>,
     /// Per-corner precomputed local-max envelopes (pure functions of
     /// the baselines; computed once instead of once per placement).
-    envelopes: Vec<Vec<Vec<f64>>>,
+    pub(crate) envelopes: Vec<Vec<Vec<f64>>>,
 }
 
-impl<'c> AtlasCampaign<'c> {
-    /// Builds the sweep and learns every corner's 16-sensor baseline in
-    /// parallel (one engine job per `(corner, sensor)`).
+impl CornerStore {
+    /// Learns every corner's baseline in parallel (one engine job per
+    /// `(corner, sensor)`) and precomputes its envelopes.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for an empty corner list or an
-    /// invalid sweep configuration; acquisition errors from the
-    /// baseline learning.
-    pub fn new(
-        chip: &'c TestChip,
-        engine: Engine,
-        config: PlacementSweepConfig,
+    /// [`CoreError::InvalidParameter`] for an empty corner list;
+    /// acquisition errors from the baseline learning.
+    pub(crate) fn learn(
+        campaign: &Campaign<'_>,
+        sweep: &PlacementSweep<'_>,
         corners: Vec<AtlasCorner>,
     ) -> Result<Self, CoreError> {
         if corners.is_empty() {
             return Err(CoreError::InvalidParameter {
-                what: "atlas campaign needs at least one corner",
+                what: "campaign needs at least one operating corner",
             });
         }
-        let campaign = Campaign::new(chip, engine);
-        let sweep = PlacementSweep::new(chip, config)?;
-        let n_sensors = chip.sensor_bank().len();
+        let n_sensors = campaign.chip().sensor_bank().len();
         let jobs: Vec<(usize, usize)> = (0..corners.len())
             .flat_map(|c| (0..n_sensors).map(move |s| (c, s)))
             .collect();
@@ -143,28 +138,68 @@ impl<'c> AtlasCampaign<'c> {
             .iter()
             .map(|b| sweep.baseline_envelopes(b))
             .collect();
-        Ok(AtlasCampaign {
-            campaign,
-            sweep,
+        Ok(CornerStore {
             corners,
             baselines,
             envelopes,
         })
     }
 
+    /// Rejects a job list naming a corner outside the store.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] on the first unknown corner.
+    pub(crate) fn check_jobs(
+        &self,
+        mut job_corners: impl Iterator<Item = usize>,
+    ) -> Result<(), CoreError> {
+        if job_corners.any(|c| c >= self.corners.len()) {
+            return Err(CoreError::InvalidParameter {
+                what: "job names a corner outside the campaign's corner list",
+            });
+        }
+        Ok(())
+    }
+}
+
+/// An engine-backed atlas campaign: one shared chip, per-corner learned
+/// baselines, placements fanned across workers.
+#[derive(Debug)]
+pub struct AtlasCampaign<'c> {
+    campaign: Campaign<'c>,
+    sweep: PlacementSweep<'c>,
+    store: CornerStore,
+}
+
+impl<'c> AtlasCampaign<'c> {
+    /// Builds the sweep and learns every corner's 16-sensor baseline in
+    /// parallel (one engine job per `(corner, sensor)`).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] for an empty corner list or an
+    /// invalid sweep configuration; acquisition errors from the
+    /// baseline learning.
+    pub fn new(
+        chip: &'c TestChip,
+        engine: Engine,
+        config: PlacementSweepConfig,
+        corners: Vec<AtlasCorner>,
+    ) -> Result<Self, CoreError> {
+        let campaign = Campaign::new(chip, engine);
+        let sweep = PlacementSweep::new(chip, config)?;
+        let store = CornerStore::learn(&campaign, &sweep, corners)?;
+        Ok(AtlasCampaign {
+            campaign,
+            sweep,
+            store,
+        })
+    }
+
     /// The corner list, in baseline order.
     pub fn corners(&self) -> &[AtlasCorner] {
-        &self.corners
-    }
-
-    /// The sweep engine (for bin/geometry queries in reports).
-    pub fn sweep(&self) -> &PlacementSweep<'c> {
-        &self.sweep
-    }
-
-    /// A corner's learned atlas baseline.
-    pub fn baseline(&self, corner: usize) -> Option<&Baseline> {
-        self.baselines.get(corner)
+        &self.store.corners
     }
 
     /// Evaluates every placement job, collecting outcomes in submission
@@ -180,14 +215,10 @@ impl<'c> AtlasCampaign<'c> {
     /// corner; otherwise the first failing placement's error (all jobs
     /// are still attempted).
     pub fn run(&self, jobs: &[AtlasJob]) -> Result<Vec<AtlasOutcome>, CoreError> {
-        if jobs.iter().any(|j| j.corner >= self.corners.len()) {
-            return Err(CoreError::InvalidParameter {
-                what: "atlas job names a corner outside the campaign's corner list",
-            });
-        }
+        self.store.check_jobs(jobs.iter().map(|j| j.corner))?;
         self.campaign
             .run(jobs, |ctx, _, job| {
-                let corner = &self.corners[job.corner];
+                let corner = &self.store.corners[job.corner];
                 let scenario = corner
                     .scenario()
                     .with_seed(placement_seed(corner.seed, &job.emitter.site));
@@ -196,8 +227,8 @@ impl<'c> AtlasCampaign<'c> {
                         ctx,
                         &scenario,
                         &job.emitter,
-                        &self.baselines[job.corner],
-                        &self.envelopes[job.corner],
+                        &self.store.baselines[job.corner],
+                        &self.store.envelopes[job.corner],
                     )
                     .map(|outcome| AtlasOutcome {
                         corner: job.corner,

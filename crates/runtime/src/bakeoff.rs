@@ -144,11 +144,6 @@ impl<'c> Bakeoff<'c> {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &BakeoffConfig {
-        &self.config
-    }
-
     /// Scores every `(detector, scenario, seed)` cell and sweeps the
     /// ROC curves. The scenario suite is the Trojan-free baseline plus
     /// each of the four Trojans active alone (the paper's one-at-a-time

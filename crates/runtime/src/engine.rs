@@ -105,7 +105,7 @@ impl Engine {
     // the thread-outside-runtime contract funnels all parallelism here
     // so determinism is proved once (see clippy.toml / psa-lint).
     #[allow(clippy::disallowed_methods)]
-    pub fn map_ctx<C, J, R, I, F>(&self, jobs: &[J], init: I, f: F) -> Vec<R>
+    pub(crate) fn map_ctx<C, J, R, I, F>(&self, jobs: &[J], init: I, f: F) -> Vec<R>
     where
         J: Sync,
         R: Send,

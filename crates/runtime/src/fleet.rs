@@ -13,16 +13,18 @@
 //!   shards of [`FleetConfig::shard_chips`] chips fanned across the
 //!   engine, then merged in submission order: the store is
 //!   byte-identical at any worker count.
-//! - **Decimated sliding rings** — a full-resolution
-//!   [`SlidingDetector`](psa_core::monitor::SlidingDetector) holds the
-//!   raw record window (~4 MB/chip — tens of GB at fleet scale). Here
-//!   each fresh record gets one cached-plan FFT and its 32 769-bin
-//!   amplitude row is max-pooled by [`FleetConfig::decimate`] before
-//!   entering a per-chip [`SlidingSpectrum`] ring, so per-chip state is
-//!   a few KB and total memory is O(chips × window) with a small
-//!   constant. Max-pooling preserves emergent Trojan lines (the pooled
-//!   test bin keeps the peak) while the pooled baseline tracks the
-//!   local floor.
+//! - **Decimated alarm lanes** — every chip stream runs the monitor's
+//!   own run-time check, one [`AlarmLane`] per die, so the fleet and
+//!   the single-chip monitor share one alarm / clear state machine. A
+//!   full-resolution lane caches 32 769-bin amplitude rows plus its
+//!   envelope (~1.6 MB per chip at a 5-record window — tens of GB at
+//!   fleet scale). Here each
+//!   fresh record gets one cached-plan FFT and its amplitude row is
+//!   max-pooled by [`FleetConfig::decimate`] before entering the lane,
+//!   so per-chip state is a few KB and total memory is O(chips ×
+//!   window) with a small constant. Max-pooling preserves emergent
+//!   Trojan lines (the pooled test bin keeps the peak) while the pooled
+//!   baseline tracks the local floor.
 //! - **Fixed round-robin multiplexing** — within a shard, records are
 //!   pulled chip 0, chip 1, …, chip k, then the next record, on one
 //!   recycled per-worker [`AcqContext`]. The interleave order is part
@@ -32,15 +34,14 @@
 //! `(chip index, record index)`, so [`Fleet::run`] output — and the
 //! `fleet` binary's stdout — is byte-identical at any worker count.
 
+use crate::campaign::Campaign;
 use crate::engine::Engine;
 use psa_core::acquisition::{AcqContext, TraceSet};
-use psa_core::calib;
 use psa_core::chip::{ChipVariation, SensorSelect, TestChip};
 use psa_core::error::CoreError;
-use psa_core::monitor::ActivationSchedule;
+use psa_core::monitor::{ActivationSchedule, AlarmLane, LaneObservation, SlidingConfig};
 use psa_core::mttd::MonitorTiming;
 use psa_core::scenario::Scenario;
-use psa_dsp::peak;
 use psa_dsp::rng::splitmix64;
 use psa_dsp::sliding::SlidingSpectrum;
 use psa_gatesim::trojan::TrojanKind;
@@ -58,18 +59,12 @@ pub struct FleetConfig {
     /// The PSA sensor every stream watches.
     pub sensor: usize,
     /// Max-pool factor applied to full-resolution amplitude rows before
-    /// they enter a chip's sliding ring (64 → 513 pooled bins).
+    /// they enter a chip's alarm lane (64 → 513 pooled bins).
     pub decimate: usize,
-    /// Sliding-window capacity per chip, in records.
-    pub window_records: usize,
-    /// Records before a chip's window is compared (warm-fill).
-    pub min_window_records: usize,
-    /// Alarm threshold over the baseline envelope, dB.
-    pub threshold_db: f64,
-    /// Baseline local-max envelope half-width, in *pooled* bins.
-    pub envelope_half_window: usize,
-    /// Consecutive quiet comparisons before a standing alarm clears.
-    pub clear_after_quiet: usize,
+    /// Every chip's alarm-lane configuration; its envelope half-width
+    /// counts *pooled* bins. Fleet baselines stay frozen, so
+    /// `recalibrate_after` must be `None`.
+    pub detector: SlidingConfig,
     /// Every `infect_every`-th chip carries a Trojan (index divisible);
     /// the kind cycles through [`TrojanKind::ALL`].
     pub infect_every: usize,
@@ -94,11 +89,11 @@ impl Default for FleetConfig {
             baseline_records: 3,
             sensor: 10,
             decimate: 64,
-            window_records: calib::TRACES_PER_SPECTRUM,
-            min_window_records: 2,
-            threshold_db: calib::DETECTION_THRESHOLD_DB,
-            envelope_half_window: 1,
-            clear_after_quiet: 1,
+            detector: SlidingConfig {
+                min_window_records: 2,
+                envelope_half_window: 1,
+                ..SlidingConfig::default()
+            },
             infect_every: 8,
             activation_record: 1,
             shard_chips: 64,
@@ -124,7 +119,6 @@ pub fn decimate_max_into(row: &[f64], factor: usize, out: &mut Vec<f64>) {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetBaselines {
     sensor: usize,
-    decimate: usize,
     per_chip: Vec<Vec<f64>>,
 }
 
@@ -132,11 +126,6 @@ impl FleetBaselines {
     /// Chips covered.
     pub fn chips(&self) -> usize {
         self.per_chip.len()
-    }
-
-    /// The sensor the baselines were learned on.
-    pub fn sensor(&self) -> usize {
-        self.sensor
     }
 
     /// Pooled baseline spectrum (dB) of chip `c`.
@@ -189,6 +178,20 @@ impl ChipOutcome {
         let a = self.activation_record?;
         let d = self.detect_record?;
         (d >= a).then(|| (d - a + 1) as f64 * (timing.acquisition_s + timing.processing_s))
+    }
+
+    /// Folds one alarm-lane step at `record` into the tallies: the first
+    /// hit while the Trojan is `active` is the detection, and an alarm
+    /// raised while it is not is a false alarm.
+    fn tally(&mut self, record: usize, active: bool, obs: &LaneObservation) {
+        if obs.hit && active && self.detect_record.is_none() {
+            self.detect_record = Some(record);
+        }
+        if obs.newly_alarmed {
+            self.alarms += 1;
+            self.false_alarms += usize::from(!active);
+        }
+        self.clears += usize::from(obs.cleared);
     }
 }
 
@@ -314,19 +317,6 @@ impl fmt::Display for FleetReport {
     }
 }
 
-/// A per-shard monitoring lane: one chip's transient streaming state.
-/// Lives only while its shard runs — the only state that outlives a
-/// shard is the [`FleetBaselines`] store and the outcomes.
-struct Lane {
-    variation: ChipVariation,
-    schedule: ActivationSchedule,
-    rows: SlidingSpectrum,
-    base_env: Vec<f64>,
-    alarmed: bool,
-    quiet: usize,
-    outcome: ChipOutcome,
-}
-
 /// A fleet: one shared [`TestChip`] geometry, many seeded dies.
 ///
 /// # Example
@@ -360,8 +350,8 @@ impl<'c> Fleet<'c> {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] on an empty fleet, zero-length
-    /// streams or windows, an out-of-range sensor, or inconsistent
-    /// window/activation bounds.
+    /// streams or windows, an out-of-range sensor, inconsistent
+    /// window/activation bounds, or a rolling-baseline refresh.
     pub fn new(chip: &'c TestChip, config: FleetConfig) -> Result<Self, CoreError> {
         let invalid = |what: &'static str| Err(CoreError::InvalidParameter { what });
         if config.chips == 0 {
@@ -370,11 +360,9 @@ impl<'c> Fleet<'c> {
         if config.records == 0 || config.baseline_records == 0 {
             return invalid("fleet streams need at least 1 record");
         }
-        if config.window_records == 0
-            || config.min_window_records == 0
-            || config.min_window_records > config.window_records
-        {
-            return invalid("fleet window bounds must satisfy 1 <= min <= window");
+        AlarmLane::validate(&config.detector)?;
+        if config.detector.recalibrate_after.is_some() {
+            return invalid("fleet lanes keep their learned baselines frozen");
         }
         if config.decimate == 0 {
             return invalid("fleet decimation factor must be at least 1");
@@ -392,11 +380,6 @@ impl<'c> Fleet<'c> {
             return invalid("fleet activation record must precede stream end");
         }
         Ok(Fleet { chip, config })
-    }
-
-    /// The shared chip geometry.
-    pub fn chip(&self) -> &'c TestChip {
-        self.chip
     }
 
     /// The validated configuration.
@@ -433,15 +416,21 @@ impl<'c> Fleet<'c> {
         splitmix64(self.config.seed ^ 0xBA5E_F1EE).wrapping_add(257 * c as u64)
     }
 
-    /// Fixed `(start, end)` chip shards — a pure function of the fleet
-    /// shape, never of the worker count.
-    fn shards(&self) -> Vec<(usize, usize)> {
-        shard_ranges(self.config.chips, self.config.shard_chips)
-    }
-
-    /// Pooled bins per spectrum row.
-    fn pooled_bins(&self) -> usize {
-        (calib::RECORD_CYCLES * calib::SAMPLES_PER_CYCLE / 2 + 1).div_ceil(self.config.decimate)
+    /// Runs `shard` over the fixed `(start, end)` chip shards — a pure
+    /// function of the fleet shape, never of the worker count — fanned
+    /// across `engine`, and concatenates the per-chip results in chip
+    /// order.
+    fn per_chip<R: Send>(
+        &self,
+        engine: &Engine,
+        shard: impl Fn(&mut AcqContext<'c>, usize, usize) -> Result<Vec<R>, CoreError> + Sync,
+    ) -> Result<Vec<R>, CoreError> {
+        let shards = shard_ranges(self.config.chips, self.config.shard_chips);
+        let per_shard: Result<Vec<Vec<R>>, CoreError> = Campaign::new(self.chip, *engine)
+            .run(&shards, |ctx, _, &(start, end)| shard(ctx, start, end))
+            .into_iter()
+            .collect();
+        Ok(per_shard?.into_iter().flatten().collect())
     }
 
     /// Learns every die's pooled baseline spectrum, sharded across the
@@ -452,19 +441,9 @@ impl<'c> Fleet<'c> {
     ///
     /// The first failing shard's acquisition error.
     pub fn learn_baselines(&self, engine: &Engine) -> Result<FleetBaselines, CoreError> {
-        let shards = self.shards();
-        let per_shard: Result<Vec<Vec<Vec<f64>>>, CoreError> = engine
-            .map_ctx(
-                &shards,
-                || AcqContext::new(self.chip),
-                |ctx, _, &(start, end)| self.learn_shard(ctx, start, end),
-            )
-            .into_iter()
-            .collect();
         Ok(FleetBaselines {
             sensor: self.config.sensor,
-            decimate: self.config.decimate,
-            per_chip: per_shard?.into_iter().flatten().collect(),
+            per_chip: self.per_chip(engine, |ctx, start, end| self.learn_shard(ctx, start, end))?,
         })
     }
 
@@ -476,14 +455,14 @@ impl<'c> Fleet<'c> {
     ) -> Result<Vec<Vec<f64>>, CoreError> {
         let cfg = &self.config;
         let mut traces = TraceSet::default();
-        let mut pooled = Vec::with_capacity(self.pooled_bins());
+        let mut pooled = Vec::new();
         let mut out = Vec::with_capacity(end - start);
         for c in start..end {
             ctx.set_variation(Some(self.variation(c)));
             let scenario = Scenario::baseline().with_seed(self.baseline_seed(c));
             let sensor = SensorSelect::Psa(cfg.sensor);
             ctx.acquire_into(&scenario, sensor, cfg.baseline_records, &mut traces)?;
-            // Same ring math the monitoring lanes use, so a freshly
+            // Same ring math the alarm lanes use, so a freshly
             // learned baseline and a quiet stream agree bin-for-bin.
             let mut ring = SlidingSpectrum::new(cfg.baseline_records)?;
             for rec in &traces.records {
@@ -506,7 +485,8 @@ impl<'c> Fleet<'c> {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] when `baselines` does not cover
-    /// the fleet, or the first failing shard's acquisition error.
+    /// the fleet or was pooled to another bin count than this fleet's
+    /// rows, or the first failing shard's acquisition error.
     pub fn run(
         &self,
         engine: &Engine,
@@ -517,18 +497,14 @@ impl<'c> Fleet<'c> {
                 what: "fleet baselines must cover every chip on the watched sensor",
             });
         }
-        let shards = self.shards();
-        let per_shard: Result<Vec<Vec<ChipOutcome>>, CoreError> = engine
-            .map_ctx(
-                &shards,
-                || AcqContext::new(self.chip),
-                |ctx, _, &(start, end)| self.run_shard(ctx, start, end, baselines),
-            )
-            .into_iter()
-            .collect();
-        Ok(per_shard?.into_iter().flatten().collect())
+        self.per_chip(engine, |ctx, start, end| {
+            self.run_shard(ctx, start, end, baselines)
+        })
     }
 
+    /// Streams chips `start..end`. Each chip's [`AlarmLane`] lives only
+    /// while its shard runs — the only state that outlives a shard is
+    /// the [`FleetBaselines`] store and the outcomes.
     fn run_shard(
         &self,
         ctx: &mut AcqContext<'_>,
@@ -539,67 +515,34 @@ impl<'c> Fleet<'c> {
         let cfg = &self.config;
         let mut lanes = Vec::with_capacity(end - start);
         for c in start..end {
-            let infected = self.infected(c);
+            let lane = AlarmLane::new(cfg.sensor, baselines.chip_db(c), cfg.detector.clone())?;
             let schedule = self.schedule(c);
-            lanes.push(Lane {
-                variation: self.variation(c),
-                rows: SlidingSpectrum::new(cfg.window_records)?,
-                base_env: peak::local_max_envelope(baselines.chip_db(c), cfg.envelope_half_window),
-                alarmed: false,
-                quiet: 0,
-                outcome: ChipOutcome {
-                    chip: c,
-                    infected,
-                    activation_record: schedule.first_activation_record(),
-                    detect_record: None,
-                    alarms: 0,
-                    false_alarms: 0,
-                    clears: 0,
-                },
-                schedule,
-            });
+            let outcome = ChipOutcome {
+                chip: c,
+                infected: self.infected(c),
+                activation_record: schedule.first_activation_record(),
+                detect_record: None,
+                alarms: 0,
+                false_alarms: 0,
+                clears: 0,
+            };
+            lanes.push((lane, schedule, self.variation(c), outcome));
         }
         let mut fresh = TraceSet::default();
-        let mut pooled = Vec::with_capacity(self.pooled_bins());
-        let mut spec = Vec::with_capacity(self.pooled_bins());
+        let mut pooled = Vec::new();
         let sensor = SensorSelect::Psa(cfg.sensor);
         for r in 0..cfg.records {
-            for lane in lanes.iter_mut() {
-                ctx.set_variation(Some(lane.variation.clone()));
-                let scenario = lane.schedule.scenario_at(r);
-                ctx.acquire_into(&scenario, sensor, 1, &mut fresh)?;
+            for (lane, schedule, variation, outcome) in lanes.iter_mut() {
+                ctx.set_variation(Some(variation.clone()));
+                ctx.acquire_into(&schedule.scenario_at(r), sensor, 1, &mut fresh)?;
                 let row = ctx.fullres_amplitude_row(&fresh.records[0])?;
                 decimate_max_into(row, cfg.decimate, &mut pooled);
-                lane.rows.push_row(&pooled)?;
-                if lane.rows.len() < cfg.min_window_records {
-                    continue;
-                }
-                lane.rows.averaged_db_into(&mut spec)?;
-                let hits = peak::excess_over_baseline_db(&spec, &lane.base_env, cfg.threshold_db);
-                let active = lane.schedule.trojan_active_at(r);
-                if hits.is_empty() {
-                    lane.quiet += 1;
-                    if lane.alarmed && lane.quiet >= cfg.clear_after_quiet {
-                        lane.alarmed = false;
-                        lane.outcome.clears += 1;
-                    }
-                } else {
-                    lane.quiet = 0;
-                    if active && lane.outcome.detect_record.is_none() {
-                        lane.outcome.detect_record = Some(r);
-                    }
-                    if !lane.alarmed {
-                        lane.alarmed = true;
-                        lane.outcome.alarms += 1;
-                        if !active {
-                            lane.outcome.false_alarms += 1;
-                        }
-                    }
-                }
+                let obs = lane.push(&pooled)?;
+                outcome.tally(r, schedule.trojan_active_at(r), &obs);
             }
         }
         ctx.set_variation(None);
-        Ok(lanes.into_iter().map(|l| l.outcome).collect())
+        Ok(lanes.into_iter().map(|(.., outcome)| outcome).collect())
     }
 }
 
@@ -735,5 +678,67 @@ mod tests {
             assert!(shards.windows(2).all(|w| w[0].1 == w[1].0));
             assert!(shards.iter().all(|&(a, b)| a < b && b - a <= step));
         }
+    }
+
+    #[test]
+    fn alarm_lane_state_machine_through_fleet_accounting() {
+        // Scripted 8-bin amplitude rows against a flat 0 dB baseline:
+        // quiet rows sit 6 dB over it, hot rows carry a 20x line in bin
+        // 3. Window 2, compare from 2 rows, clear after 2 quiet ticks,
+        // refresh the baseline after 3.
+        let config = SlidingConfig {
+            window_records: 2,
+            min_window_records: 2,
+            threshold_db: 10.0,
+            envelope_half_window: 0,
+            clear_after_quiet: 2,
+            recalibrate_after: Some(3),
+        };
+        let mut lane = AlarmLane::new(10, &[0.0; 8], config).unwrap();
+        let quiet = [2.0; 8];
+        let mut hot = quiet;
+        hot[3] = 20.0;
+        let mut outcome = ChipOutcome {
+            chip: 0,
+            infected: true,
+            activation_record: Some(0),
+            detect_record: None,
+            alarms: 0,
+            false_alarms: 0,
+            clears: 0,
+        };
+        // (row, Trojan active, hit, newly alarmed, cleared, recalibrated)
+        let script = [
+            (hot, true, false, false, false, false), // warm fill: suppressed
+            (hot, true, true, true, false, false),   // first alarm
+            (quiet, false, true, false, false, false), // hot row still in window
+            (quiet, false, false, false, false, false), // quiet 1 of 2
+            (quiet, false, false, false, true, false), // cleared
+            (quiet, false, false, false, false, true), // baseline refresh
+            (hot, false, true, true, false, false),  // hit with no Trojan
+        ];
+        let mut excess = Vec::new();
+        for (r, &(row, active, hit, alarm, clear, recal)) in script.iter().enumerate() {
+            let obs = lane.push(&row).unwrap();
+            assert_eq!(
+                (obs.hit, obs.newly_alarmed, obs.cleared, obs.recalibrated),
+                (hit, alarm, clear, recal),
+                "tick {r}"
+            );
+            assert_eq!(obs.spec.is_empty(), r == 0, "tick {r}");
+            outcome.tally(r, active, &obs);
+            excess.push(obs.top_excess_db);
+        }
+        assert_eq!(outcome.detect_record, Some(1));
+        assert_eq!(outcome.alarms, 2);
+        assert_eq!(outcome.false_alarms, 1);
+        assert_eq!(outcome.clears, 1);
+        // The refresh moved the envelope from 0 dB to the quiet 6 dB
+        // floor: the last hit's excess is measured against the latter.
+        let db = psa_dsp::spectrum::amplitude_db;
+        assert!((excess[1] - db(20.0)).abs() < 1e-9);
+        assert!((excess[6] - (db(11.0) - db(2.0))).abs() < 1e-9);
+        // A row of another bin count is rejected, not truncated.
+        assert!(lane.push(&[1.0; 4]).is_err());
     }
 }

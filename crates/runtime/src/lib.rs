@@ -39,8 +39,10 @@
 //! * [`fleet`] — fleet-scale streaming monitoring: 10k+ seeded per-die
 //!   chip streams ([`psa_core::chip::ChipVariation`]) multiplexed
 //!   through shared per-worker contexts in fixed round-robin order,
-//!   with sharded per-chip baselines, decimated per-chip sliding rings
-//!   (memory O(chips × window)), and a cross-fleet [`FleetReport`].
+//!   with sharded per-chip baselines, one decimated
+//!   [`AlarmLane`](psa_core::monitor::AlarmLane) per chip — the
+//!   streaming monitor's own run-time check — (memory O(chips ×
+//!   window)), and a cross-fleet [`FleetReport`].
 //! * [`progsearch`] — SNR-driven programming-search campaigns: a
 //!   deterministic beam search over custom switch-matrix programmings
 //!   ([`SensorSelect::Custom`](psa_core::chip::SensorSelect)), every

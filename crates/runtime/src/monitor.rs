@@ -161,25 +161,12 @@ pub struct MonitorCampaign<'c> {
 }
 
 impl<'c> MonitorCampaign<'c> {
-    /// Learns the 16-sensor run-time baseline (in parallel on the
-    /// engine) and binds it to the chip.
-    pub fn new(chip: &'c TestChip, engine: Engine, baseline_seed: u64) -> Self {
-        let campaign = Campaign::new(chip, engine);
-        let baseline = campaign.learn_baseline(baseline_seed);
-        MonitorCampaign { campaign, baseline }
-    }
-
     /// Binds a pre-learned baseline.
     pub fn with_baseline(chip: &'c TestChip, engine: Engine, baseline: Baseline) -> Self {
         MonitorCampaign {
             campaign: Campaign::new(chip, engine),
             baseline,
         }
-    }
-
-    /// The learned baseline in use.
-    pub fn baseline(&self) -> &Baseline {
-        &self.baseline
     }
 
     /// Runs every session, one engine job per [`MonitorJob`], collecting

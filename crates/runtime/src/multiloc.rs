@@ -14,12 +14,11 @@
 //! **byte-identical at any worker count**, which the `multi_localize`
 //! binary's CI determinism gate `cmp`s directly.
 
-use crate::atlas::AtlasCorner;
+use crate::atlas::{AtlasCorner, CornerStore};
 use crate::campaign::Campaign;
 use crate::engine::Engine;
 use psa_core::atlas::{placement_seed, SyntheticEmitter};
 use psa_core::chip::TestChip;
-use psa_core::cross_domain::Baseline;
 use psa_core::error::CoreError;
 use psa_core::multiloc::{
     score_sources, Calibration, JointOutcome, MatchReport, MultiLocConfig, MultiLocalizer,
@@ -88,9 +87,7 @@ pub struct MultilocOutcome {
 pub struct MultilocCampaign<'c> {
     campaign: Campaign<'c>,
     localizer: MultiLocalizer<'c>,
-    corners: Vec<AtlasCorner>,
-    baselines: Vec<Baseline>,
-    envelopes: Vec<Vec<Vec<f64>>>,
+    store: CornerStore,
     calibrations: Vec<Calibration>,
 }
 
@@ -110,68 +107,34 @@ impl<'c> MultilocCampaign<'c> {
         config: MultiLocConfig,
         corners: Vec<AtlasCorner>,
     ) -> Result<Self, CoreError> {
-        if corners.is_empty() {
-            return Err(CoreError::InvalidParameter {
-                what: "joint-localization campaign needs at least one corner",
-            });
-        }
         let campaign = Campaign::new(chip, engine);
         let localizer = MultiLocalizer::new(chip, config)?;
-        let n_sensors = chip.sensor_bank().len();
-        let jobs: Vec<(usize, usize)> = (0..corners.len())
-            .flat_map(|c| (0..n_sensors).map(move |s| (c, s)))
-            .collect();
-        let spectra = campaign
-            .run(&jobs, |ctx, _, &(c, s)| {
-                localizer
-                    .sweep()
-                    .baseline_sensor_db_with(ctx, &corners[c].scenario(), s)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut spectra = spectra.into_iter();
-        let baselines: Vec<Baseline> = (0..corners.len())
-            .map(|_| Baseline {
-                per_sensor_db: spectra.by_ref().take(n_sensors).collect(),
-            })
-            .collect();
-        let envelopes: Vec<Vec<Vec<f64>>> = baselines
-            .iter()
-            .map(|b| localizer.sweep().baseline_envelopes(b))
-            .collect();
-        let corner_idx: Vec<usize> = (0..corners.len()).collect();
+        let store = CornerStore::learn(&campaign, localizer.sweep(), corners)?;
+        let corner_idx: Vec<usize> = (0..store.corners.len()).collect();
         let calibrations = campaign
             .run(&corner_idx, |ctx, _, &c| {
-                let scenario = corners[c]
-                    .scenario()
-                    .with_seed(calibration_seed(corners[c].seed));
-                localizer.calibrate_with(ctx, &scenario, &baselines[c], &envelopes[c])
+                let corner = &store.corners[c];
+                let scenario = corner.scenario().with_seed(calibration_seed(corner.seed));
+                localizer.calibrate_with(ctx, &scenario, &store.baselines[c], &store.envelopes[c])
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
         Ok(MultilocCampaign {
             campaign,
             localizer,
-            corners,
-            baselines,
-            envelopes,
+            store,
             calibrations,
         })
     }
 
     /// The corner list, in baseline order.
     pub fn corners(&self) -> &[AtlasCorner] {
-        &self.corners
+        &self.store.corners
     }
 
     /// The joint localizer (for geometry/config queries in reports).
     pub fn localizer(&self) -> &MultiLocalizer<'c> {
         &self.localizer
-    }
-
-    /// A corner's learned baseline.
-    pub fn baseline(&self, corner: usize) -> Option<&Baseline> {
-        self.baselines.get(corner)
     }
 
     /// Evaluates every tuple job, collecting outcomes in submission
@@ -187,14 +150,10 @@ impl<'c> MultilocCampaign<'c> {
     /// configured minimum separation or leaves the die; otherwise the
     /// first failing evaluation's error.
     pub fn run(&self, jobs: &[MultilocJob]) -> Result<Vec<MultilocOutcome>, CoreError> {
-        if jobs.iter().any(|j| j.corner >= self.corners.len()) {
-            return Err(CoreError::InvalidParameter {
-                what: "joint-localization job names a corner outside the campaign's corner list",
-            });
-        }
+        self.store.check_jobs(jobs.iter().map(|j| j.corner))?;
         self.campaign
             .run(jobs, |ctx, _, job| {
-                let corner = &self.corners[job.corner];
+                let corner = &self.store.corners[job.corner];
                 let scenario = corner
                     .scenario()
                     .with_seed(tuple_seed(corner.seed, &job.emitters));
@@ -203,8 +162,8 @@ impl<'c> MultilocCampaign<'c> {
                         ctx,
                         &scenario,
                         &job.emitters,
-                        &self.baselines[job.corner],
-                        &self.envelopes[job.corner],
+                        &self.store.baselines[job.corner],
+                        &self.store.envelopes[job.corner],
                         Some(&self.calibrations[job.corner]),
                     )
                     .map(|outcome| {

@@ -20,7 +20,6 @@ fn small_config() -> FleetConfig {
         chips: 6,
         records: 3,
         baseline_records: 2,
-        min_window_records: 2,
         infect_every: 3,
         activation_record: 1,
         shard_chips: 2,
@@ -88,8 +87,12 @@ fn fleet_validation_rejects_bad_shapes() {
     assert!(bad(|c| c.chips = 0));
     assert!(bad(|c| c.records = 0));
     assert!(bad(|c| c.baseline_records = 0));
-    assert!(bad(|c| c.min_window_records = 0));
-    assert!(bad(|c| c.min_window_records = c.window_records + 1));
+    assert!(bad(|c| c.detector.window_records = 0));
+    assert!(bad(|c| c.detector.min_window_records = 0));
+    assert!(bad(
+        |c| c.detector.min_window_records = c.detector.window_records + 1
+    ));
+    assert!(bad(|c| c.detector.recalibrate_after = Some(1)));
     assert!(bad(|c| c.decimate = 0));
     assert!(bad(|c| c.shard_chips = 0));
     assert!(bad(|c| c.infect_every = 0));
@@ -109,4 +112,31 @@ fn fleet_validation_rejects_bad_shapes() {
     let engine = Engine::new(1);
     let two_chip_store = other.learn_baselines(&engine).unwrap();
     assert!(fleet.run(&engine, &two_chip_store).is_err());
+}
+
+#[test]
+fn fleet_rejects_baselines_pooled_at_another_decimation() {
+    // A store learned at decimate 32 (1 025 bins) must be rejected by a
+    // fleet streaming 513-bin rows at decimate 64, not compared over the
+    // common prefix of two unrelated frequency grids.
+    let config = FleetConfig {
+        chips: 1,
+        records: 2,
+        baseline_records: 1,
+        shard_chips: 1,
+        ..FleetConfig::default()
+    };
+    let engine = Engine::new(1);
+    let fine = Fleet::new(
+        chip(),
+        FleetConfig {
+            decimate: 32,
+            ..config.clone()
+        },
+    )
+    .unwrap();
+    let store = fine.learn_baselines(&engine).unwrap();
+    assert_eq!(store.chip_db(0).len(), 1025);
+    let coarse = Fleet::new(chip(), config).unwrap();
+    assert!(coarse.run(&engine, &store).is_err());
 }

@@ -10,8 +10,9 @@
 //! a cross-check.
 
 use crate::acquisition::AcqContext;
-use crate::chip::TestChip;
+use crate::chip::{SensorSelect, TestChip};
 use crate::error::CoreError;
+use crate::scenario::Scenario;
 use psa_dsp::{correlate, stats};
 use psa_gatesim::trojan::TrojanKind;
 use psa_ml::knn::Knn;
@@ -117,8 +118,7 @@ pub fn extract_features(envelope: &[f64], fs_hz: f64) -> Result<EnvelopeFeatures
 
     let max_lag = (envelope.len() / 2).min(4096);
     let ac = correlate::autocorrelation(envelope, max_lag)?;
-    let period_samples = correlate::dominant_period(envelope, max_lag);
-    let (period_us, periodicity) = match period_samples {
+    let (period_us, periodicity) = match correlate::dominant_period(&ac) {
         Some(lag) if lag > 0 => {
             let strength = ac.get(lag).copied().unwrap_or(0.0).max(0.0);
             (lag as f64 / fs_hz * 1.0e6, strength)
@@ -126,8 +126,10 @@ pub fn extract_features(envelope: &[f64], fs_hz: f64) -> Result<EnvelopeFeatures
         _ => (0.0, 0.0),
     };
 
-    let p95 = stats::percentile(envelope, 95.0);
-    let p5 = stats::percentile(envelope, 5.0);
+    let mut sorted = envelope.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let p95 = stats::percentile_of_sorted(&sorted, 95.0);
+    let p5 = stats::percentile_of_sorted(&sorted, 5.0);
     let depth = if p95 + p5 > 0.0 {
         ((p95 - p5) / (p95 + p5)).clamp(0.0, 1.0)
     } else {
@@ -137,8 +139,8 @@ pub fn extract_features(envelope: &[f64], fs_hz: f64) -> Result<EnvelopeFeatures
     let kurtosis = stats::kurtosis_excess(envelope);
 
     // Telegraph score: closeness to a two-level distribution.
-    let lo = stats::percentile(envelope, 25.0);
-    let hi = stats::percentile(envelope, 75.0);
+    let lo = stats::percentile_of_sorted(&sorted, 25.0);
+    let hi = stats::percentile_of_sorted(&sorted, 75.0);
     let band = (hi - lo).max(1e-12) * 0.25;
     let near_levels = envelope
         .iter()
@@ -251,28 +253,20 @@ impl TemplateLibrary {
     /// Propagates acquisition errors from the reference simulations and
     /// fitting errors from [`from_samples`](Self::from_samples).
     pub fn reference(chip: &TestChip) -> Result<Self, CoreError> {
-        use crate::scenario::Scenario;
-
         let mut ctx = AcqContext::new(chip);
+        // The baseline of a reference key is the same scenario for every
+        // Trojan kind, so its envelope is acquired once per key.
+        let base_envs = (0..REFERENCE_KEYS.len())
+            .map(|ki| {
+                let baseline = reference_scenario(Scenario::baseline(), ki);
+                baseline_envelope_db(&mut ctx, &baseline, REFERENCE_SENSOR)
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
         let mut samples = Vec::new();
         let mut kinds = Vec::new();
-        // Two reference keys per Trojan for template robustness.
-        let ref_keys: [[u8; 16]; 2] = [[0x81; 16], {
-            let mut k = [0u8; 16];
-            for (i, b) in k.iter_mut().enumerate() {
-                *b = (i as u8).wrapping_mul(37).wrapping_add(11);
-            }
-            k
-        }];
         for kind in TrojanKind::ALL {
-            for (ki, key) in ref_keys.iter().enumerate() {
-                let scenario = Scenario::trojan_active(kind)
-                    .with_key(*key)
-                    .with_seed(0xBEEF + ki as u64);
-                let baseline = Scenario::baseline()
-                    .with_key(*key)
-                    .with_seed(0xBEEF + ki as u64);
-                let sig = acquire_signature(&mut ctx, &scenario, &baseline, 10, 48.0e6)?;
+            for (ki, base_env) in base_envs.iter().enumerate() {
+                let sig = reference_signature(&mut ctx, kind, ki, base_env)?;
                 samples.push(sig.to_vec());
                 kinds.push(kind);
             }
@@ -338,6 +332,75 @@ impl TemplateLibrary {
     }
 }
 
+/// Sensor the reference simulations of [`TemplateLibrary::reference`]
+/// are acquired on.
+const REFERENCE_SENSOR: usize = 10;
+
+/// The 48 MHz family line the reference envelopes are zero-spanned at.
+const REFERENCE_LINE_HZ: f64 = 48.0e6;
+
+/// Two reference keys per Trojan for template robustness, different from
+/// any test scenario's key (identification must generalize across keys).
+const REFERENCE_KEYS: [[u8; 16]; 2] = [[0x81; 16], {
+    let mut k = [0u8; 16];
+    let mut i = 0;
+    while i < 16 {
+        k[i] = (i as u8).wrapping_mul(37).wrapping_add(11);
+        i += 1;
+    }
+    k
+}];
+
+/// `base` under reference key `REFERENCE_KEYS[ki]`, seeded by `ki`.
+fn reference_scenario(base: Scenario, ki: usize) -> Scenario {
+    base.with_key(REFERENCE_KEYS[ki])
+        .with_seed(0xBEEF + ki as u64)
+}
+
+/// The template signature of `kind` under reference key `ki`, against
+/// that key's already acquired baseline envelope.
+fn reference_signature(
+    ctx: &mut AcqContext<'_>,
+    kind: TrojanKind,
+    ki: usize,
+    base_env_db: &[f64],
+) -> Result<TrojanSignature, CoreError> {
+    let scenario = reference_scenario(Scenario::trojan_active(kind), ki);
+    let spec = ctx.acquire_fullres_spectrum_db(
+        &scenario,
+        SensorSelect::Psa(REFERENCE_SENSOR),
+        crate::calib::TRACES_PER_SPECTRUM,
+    )?;
+    signature_from_parts_with(
+        ctx,
+        &scenario,
+        REFERENCE_SENSOR,
+        REFERENCE_LINE_HZ,
+        &spec,
+        base_env_db,
+    )
+}
+
+/// The baseline envelope a signature's spectral context is measured
+/// against: the local-maximum envelope of `baseline_scenario`'s averaged
+/// full-resolution spectrum on one sensor.
+///
+/// # Errors
+///
+/// Propagates acquisition/DSP errors.
+fn baseline_envelope_db(
+    ctx: &mut AcqContext<'_>,
+    baseline_scenario: &Scenario,
+    sensor: usize,
+) -> Result<Vec<f64>, CoreError> {
+    let base = ctx.acquire_fullres_spectrum_db(
+        baseline_scenario,
+        SensorSelect::Psa(sensor),
+        crate::calib::TRACES_PER_SPECTRUM,
+    )?;
+    Ok(psa_dsp::peak::local_max_envelope(&base, 8))
+}
+
 /// Acquires a full [`TrojanSignature`] for `scenario` on one sensor:
 /// averaged spectra for the spectral context plus a zero-span envelope
 /// at `line_freq_hz` (the 48 MHz family line).
@@ -347,25 +410,17 @@ impl TemplateLibrary {
 /// Propagates acquisition/DSP errors.
 pub fn acquire_signature(
     ctx: &mut AcqContext<'_>,
-    scenario: &crate::scenario::Scenario,
-    baseline_scenario: &crate::scenario::Scenario,
+    scenario: &Scenario,
+    baseline_scenario: &Scenario,
     sensor: usize,
     line_freq_hz: f64,
 ) -> Result<TrojanSignature, CoreError> {
-    use crate::chip::SensorSelect;
-    let traces = ctx.acquire(
+    let spec = ctx.acquire_fullres_spectrum_db(
         scenario,
         SensorSelect::Psa(sensor),
         crate::calib::TRACES_PER_SPECTRUM,
     )?;
-    let spec = ctx.fullres_spectrum_db(&traces)?;
-    let base_traces = ctx.acquire(
-        baseline_scenario,
-        SensorSelect::Psa(sensor),
-        crate::calib::TRACES_PER_SPECTRUM,
-    )?;
-    let base = ctx.fullres_spectrum_db(&base_traces)?;
-    let base_env = psa_dsp::peak::local_max_envelope(&base, 8);
+    let base_env = baseline_envelope_db(ctx, baseline_scenario, sensor)?;
     signature_from_parts_with(ctx, scenario, sensor, line_freq_hz, &spec, &base_env)
 }
 
@@ -377,13 +432,12 @@ pub fn acquire_signature(
 /// Propagates acquisition/DSP errors.
 pub fn signature_from_parts_with(
     ctx: &mut AcqContext<'_>,
-    scenario: &crate::scenario::Scenario,
+    scenario: &Scenario,
     sensor: usize,
     line_freq_hz: f64,
     spec_db: &[f64],
     baseline_env_db: &[f64],
 ) -> Result<TrojanSignature, CoreError> {
-    use crate::chip::SensorSelect;
     let n = spec_db.len().min(baseline_env_db.len());
     let excess: Vec<f64> = (0..n).map(|k| spec_db[k] - baseline_env_db[k]).collect();
     let line_bin = ctx.fullres_freq_bin(line_freq_hz);
@@ -563,6 +617,31 @@ mod tests {
             "prominence {}",
             f.mod_prominence_db
         );
+    }
+
+    #[test]
+    fn template_from_hoisted_baseline_is_bitwise_acquire_signature() {
+        // `reference` acquires each key's baseline envelope once and
+        // reuses it for every Trojan kind. That rests on `AcqContext`
+        // purity: a signature depends on its scenarios only, not on what
+        // the context acquired before.
+        let chip = TestChip::date24();
+        let ki = 1;
+        let baseline = reference_scenario(Scenario::baseline(), ki);
+        let mut ctx = AcqContext::new(&chip);
+        let base_env = baseline_envelope_db(&mut ctx, &baseline, REFERENCE_SENSOR).unwrap();
+        reference_signature(&mut ctx, TrojanKind::T1, ki, &base_env).unwrap();
+        let hoisted = reference_signature(&mut ctx, TrojanKind::T3, ki, &base_env).unwrap();
+        let direct = acquire_signature(
+            &mut AcqContext::new(&chip),
+            &reference_scenario(Scenario::trojan_active(TrojanKind::T3), ki),
+            &baseline,
+            REFERENCE_SENSOR,
+            REFERENCE_LINE_HZ,
+        )
+        .unwrap();
+        let bits = |s: &TrojanSignature| s.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&hoisted), bits(&direct));
     }
 
     #[test]

@@ -55,11 +55,18 @@ pub fn median(x: &[f64]) -> f64 {
 /// Percentile in `[0, 100]` with linear interpolation between order
 /// statistics. Returns 0 for an empty slice; clamps `p` into range.
 pub fn percentile(x: &[f64], p: f64) -> f64 {
-    if x.is_empty() {
+    let mut sorted = x.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    percentile_of_sorted(&sorted, p)
+}
+
+/// [`percentile`] of a slice already sorted ascending by
+/// [`f64::total_cmp`], for callers that take several percentiles of one
+/// sample and sort it once.
+pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
         return 0.0;
     }
-    let mut sorted = x.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
     let p = p.clamp(0.0, 100.0);
     let pos = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
@@ -138,6 +145,7 @@ mod tests {
         assert_eq!(percentile(&x, 0.0), 10.0);
         assert_eq!(percentile(&x, 100.0), 40.0);
         assert!((percentile(&x, 50.0) - 25.0).abs() < 1e-12);
+        assert_eq!(percentile_of_sorted(&x, 50.0), percentile(&x, 50.0));
         // Out-of-range p is clamped.
         assert_eq!(percentile(&x, -5.0), 10.0);
         assert_eq!(percentile(&x, 150.0), 40.0);
